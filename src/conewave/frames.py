@@ -21,11 +21,17 @@ quantify what the truncation dropped.  Gamma is a frequency-shift
 correlation: both kernel copies are evaluated at lattice-scaled
 frequencies, the second at coordinates displaced by a translation-lattice
 point before the scaling.
+
+Every lattice sum goes through _term_factors, which yields per (l, n) pair
+the spatial magnitudes S of the q rotations, stacked on a leading axis, and
+the temporal magnitude T they share.  The sum over q is therefore taken
+before the product with T: Lambda = sum over (l, n) of (sum_q S**2) * T**2.
 """
 
 import json
 import math
 from dataclasses import asdict, dataclass
+from functools import cache
 from itertools import product
 
 import numpy as np
@@ -69,10 +75,16 @@ class Discretization:
             raise ValueError("translation steps must be positive")
         if self.scale_range < 0 or self.gamma_range < 0:
             raise ValueError("truncation ranges must be non-negative")
+        if self.grid_size < 1 or self.gamma_stride < 1:
+            raise ValueError("grid_size and gamma_stride must be positive")
+        if not self.polish_tol > 0:
+            raise ValueError("polish_tol must be positive")
         if self.q_indices is None:
             object.__setattr__(self, "q_indices", tuple(range(2 * self.q1)))
         else:
             object.__setattr__(self, "q_indices", tuple(int(q) for q in self.q_indices))
+        if not self.q_indices:
+            raise ValueError("q_indices must not be empty")
 
     @property
     def theta0(self) -> float:
@@ -107,9 +119,10 @@ class FrameBoundReport:
 class _SeparableKernel:
     """Kernel whose magnitude factors into spatial(kx, ky) * temporal(w).
 
-    The lattice sums exploit the factorization: spatial factors that vanish
-    on the whole search grid (most rotations of a narrow cone do) skip the
-    expensive 3D accumulation entirely.
+    The lattice sums exploit the factorization: the q rotations of a term
+    share its temporal factor, so the spatial factor is evaluated on the
+    (kx, ky) grid only and the temporal one once per (l, n) pair, and the
+    sum over q is taken before the product with the temporal factor.
     """
 
     def __init__(self, spatial, temporal):
@@ -174,62 +187,30 @@ def _resolve_kernel(kernel):
     raise TypeError(f"kernel must be GcmParams or a callable, got {type(kernel).__name__}")
 
 
-def _term_scales(disc: Discretization, l: int, n: int) -> tuple[float, float]:
-    spatial = disc.a0**l * disc.c0 ** (n / 3.0)
-    temporal = disc.a0**l * disc.c0 ** (-2.0 * n / 3.0)
-    return spatial, temporal
+def _term_factors(kernel, disc: Discretization, pairs, kx, ky, omega):
+    """Yield (S, T) for each lattice pair (l, n) at the given frequencies.
 
-
-def _rotations(disc: Discretization):
-    return [(math.cos(q * disc.theta0), math.sin(q * disc.theta0)) for q in disc.q_indices]
-
-
-def _lattice_table(disc: Discretization, pairs):
-    """Flat arrays (s_sp, s_t, cos, sin) over all (l, n, q) lattice terms."""
-    rotations = _rotations(disc)
-    s_sp, s_t, ct, st = [], [], [], []
+    S stacks the spatial magnitudes of the q rotations on a leading axis; T
+    is the temporal magnitude they share.  A kernel that does not factor
+    yields its full magnitude as S and 1.0 as T.  kx, ky and omega broadcast
+    against each other.
+    """
+    nd = max(np.ndim(kx), np.ndim(ky), np.ndim(omega))
+    kx, ky, omega = (np.array(v, dtype=float, ndmin=nd) for v in (kx, ky, omega))
+    ct = np.array([math.cos(q * disc.theta0) for q in disc.q_indices])
+    st = np.array([math.sin(q * disc.theta0) for q in disc.q_indices])
+    ux = np.multiply.outer(ct, kx) + np.multiply.outer(st, ky)
+    uy = np.multiply.outer(-st, kx) + np.multiply.outer(ct, ky)
     for l, n in pairs:
-        sp, tp = _term_scales(disc, l, n)
-        for c, s in rotations:
-            s_sp.append(sp)
-            s_t.append(tp)
-            ct.append(c)
-            st.append(s)
-    return (np.array(s_sp), np.array(s_t), np.array(ct), np.array(st))
-
-
-def _accumulate_terms(kernel, disc, pairs, kx, ky, omega, reduce: str = "sum"):
-    """Combine |K(lattice-transformed frequencies)|^2 over the given
-    (l, n) pairs, by sum or by pointwise maximum; broadcasts."""
-    joiner = np.add if reduce == "sum" else np.maximum
-    if np.ndim(kx) == 0 and np.ndim(ky) == 0 and np.ndim(omega) == 0:
-        # Scalar point: one vectorized kernel call over all lattice terms.
-        s_sp, s_t, ct, st = _lattice_table(disc, pairs)
-        rx = s_sp * (ct * kx + st * ky)
-        ry = s_sp * (-st * kx + ct * ky)
-        terms = np.abs(kernel(rx, ry, s_t * omega)) ** 2
-        return float(np.sum(terms) if reduce == "sum" else np.max(terms))
-
-    kx = np.asarray(kx, dtype=float)
-    ky = np.asarray(ky, dtype=float)
-    omega = np.asarray(omega, dtype=float)
-    rotations = _rotations(disc)
-    separable = isinstance(kernel, _SeparableKernel)
-    total = 0.0
-    for l, n in pairs:
-        s_sp, s_t = _term_scales(disc, l, n)
-        for ct, st in rotations:
-            rx = s_sp * (ct * kx + st * ky)
-            ry = s_sp * (-st * kx + ct * ky)
-            if separable:
-                spatial = np.abs(kernel.spatial(rx, ry)) ** 2
-                if not np.any(spatial):
-                    continue
-                term = spatial * np.abs(kernel.temporal(s_t * omega)) ** 2
-            else:
-                term = np.abs(kernel(rx, ry, s_t * omega)) ** 2
-            total = joiner(total, term)
-    return total
+        s_sp = disc.a0**l * disc.c0 ** (n / 3.0)
+        s_t = disc.a0**l * disc.c0 ** (-2.0 * n / 3.0)
+        # The rotated coordinates get no local name, so that they are freed
+        # before the caller reduces the yielded factors (peak memory).
+        if isinstance(kernel, _SeparableKernel):
+            yield (np.abs(kernel.spatial(s_sp * ux, s_sp * uy)),
+                   np.abs(kernel.temporal(s_t * omega)))
+        else:
+            yield np.abs(kernel(s_sp * ux, s_sp * uy, s_t * omega)), 1.0
 
 
 def lambda_fn(kx, ky, omega, disc: Discretization, kernel, with_tail: bool = False):
@@ -239,30 +220,30 @@ def lambda_fn(kx, ky, omega, disc: Discretization, kernel, with_tail: bool = Fal
     dropped scale/speed shell, a diagnostic for the truncation error.
     """
     kernel = _resolve_kernel(kernel)
-    pairs = [(l, n) for l in disc.scale_indices() for n in disc.scale_indices()]
-    core = _accumulate_terms(kernel, disc, pairs, kx, ky, omega)
+    factors = _term_factors(kernel, disc, product(disc.scale_indices(), repeat=2), kx, ky, omega)
+    core = sum(np.sum(s**2, axis=0) * t**2 for s, t in factors)
     if not with_tail:
         return core
     edge = disc.scale_range + 1
     shell = [
         (l, n)
-        for l in range(-edge, edge + 1)
-        for n in range(-edge, edge + 1)
+        for l, n in product(range(-edge, edge + 1), repeat=2)
         if max(abs(l), abs(n)) == edge
     ]
-    tail_terms = _accumulate_terms(kernel, disc, shell, kx, ky, omega, reduce="max")
-    tail = float(np.max(tail_terms)) if np.ndim(tail_terms) else float(tail_terms)
+    factors = _term_factors(kernel, disc, shell, kx, ky, omega)
+    tail = max(float(np.max(np.max(s**2, axis=0) * t**2)) for s, t in factors)
     return core, tail
+
+
+def _box_extents(disc: Discretization):
+    """Extents of the fundamental search box in (log r, phi, log w)."""
+    return math.log(disc.a0), disc.theta0, math.log(disc.a0 * disc.c0 ** (2.0 / 3.0))
 
 
 def _search_grid(disc: Discretization):
     """Cell centers of the fundamental search box in (log r, phi, log w)."""
-    g = disc.grid_size
-    centers = (np.arange(g) + 0.5) / g
-    logr = centers * math.log(disc.a0)
-    phi = centers * disc.theta0
-    logw = centers * math.log(disc.a0 * disc.c0 ** (2.0 / 3.0))
-    return logr, phi, logw
+    centers = (np.arange(disc.grid_size) + 0.5) / disc.grid_size
+    return tuple(centers * extent for extent in _box_extents(disc))
 
 
 def _box_coords(logr, phi, logw):
@@ -276,12 +257,7 @@ def _box_coords(logr, phi, logw):
 def _polish_extremum(disc, kernel, start, spans, maximize: bool):
     """Coordinate-wise golden search around a grid extremum, clamped to
     the search box."""
-    los = [0.0, 0.0, 0.0]
-    his = [
-        math.log(disc.a0),
-        disc.theta0,
-        math.log(disc.a0 * disc.c0 ** (2.0 / 3.0)),
-    ]
+    his = _box_extents(disc)
     sign = 1.0 if maximize else -1.0
 
     def value(pt):
@@ -294,7 +270,7 @@ def _polish_extremum(disc, kernel, start, spans, maximize: bool):
     best = value(point)
     for _ in range(2):
         for axis in range(3):
-            lo = max(los[axis], point[axis] - spans[axis])
+            lo = max(0.0, point[axis] - spans[axis])
             hi = min(his[axis] * (1 - 1e-12), point[axis] + spans[axis])
 
             def along(x, axis=axis):
@@ -315,63 +291,28 @@ def _gamma_correction(disc: Discretization, kernel, logr, phi, logw):
     The inner supremum uses a strided subgrid of the search box, which
     under-estimates the correction; reports stay labeled as estimates.
     """
-    stride = max(1, disc.gamma_stride)
+    stride = disc.gamma_stride
     kx, ky, w = _box_coords(logr[::stride], phi[::stride], logw[::stride])
-    rotations = _rotations(disc)
-    pairs = [(l, n) for l in disc.scale_indices() for n in disc.scale_indices()]
+    pairs = list(product(disc.scale_indices(), repeat=2))
+    unshifted = list(_term_factors(kernel, disc, pairs, kx, ky, w))  # shared by every shift
+    steps = (disc.b_x0, disc.b_y0, disc.tau0)
 
-    separable = isinstance(kernel, _SeparableKernel)
+    @cache
+    def gamma_at(m):
+        """Gamma at translation-lattice point m: the box maximum of the lattice
+        sum of |K(k)| * |K(k - b)|, with b = 2*pi*m / steps."""
+        bx, by, tau = (2 * math.pi * i / step for i, step in zip(m, steps))
+        shifted = _term_factors(kernel, disc, pairs, kx - bx, ky - by, w - tau)
+        total = sum(np.sum(s0 * s1, axis=0) * (t0 * t1)
+                    for (s0, t0), (s1, t1) in zip(unshifted, shifted))
+        return float(np.max(total))
 
-    def big_gamma(bx, by, tau):
-        total = 0.0
-        for l, n in pairs:
-            s_sp, s_t = _term_scales(disc, l, n)
-            for ct, st in rotations:
-                rx = s_sp * (ct * kx + st * ky)
-                ry = s_sp * (-st * kx + ct * ky)
-                sx = s_sp * (ct * (kx - bx) + st * (ky - by))
-                sy = s_sp * (-st * (kx - bx) + ct * (ky - by))
-                if separable:
-                    sp1 = np.abs(kernel.spatial(rx, ry))
-                    if not np.any(sp1):
-                        continue
-                    sp2 = np.abs(kernel.spatial(sx, sy))
-                    if not np.any(sp2):
-                        continue
-                    term = (sp1 * sp2) * (
-                        np.abs(kernel.temporal(s_t * w))
-                        * np.abs(kernel.temporal(s_t * (w - tau)))
-                    )
-                else:
-                    term = np.abs(kernel(rx, ry, s_t * w)) * np.abs(
-                        kernel(sx, sy, s_t * (w - tau))
-                    )
-                total = total + term
-        return float(np.max(total)) if np.ndim(total) else float(total)
-
-    cache = {}
-
-    def gamma_at(mx, my, p):
-        key = (mx, my, p)
-        if key not in cache:
-            cache[key] = big_gamma(
-                2 * math.pi * mx / disc.b_x0,
-                2 * math.pi * my / disc.b_y0,
-                2 * math.pi * p / disc.tau0,
-            )
-        return cache[key]
+    def corr(m):
+        return math.sqrt(gamma_at(m) * gamma_at(tuple(-i for i in m)))
 
     G = disc.gamma_range
-    total = 0.0
-    for mx, my, p in product(range(-G, G + 1), repeat=3):
-        if (mx, my, p) == (0, 0, 0):
-            continue
-        total += math.sqrt(gamma_at(mx, my, p) * gamma_at(-mx, -my, -p))
-
-    shell = [(G + 1, 0, 0), (0, G + 1, 0), (0, 0, G + 1)]
-    tail = max(
-        math.sqrt(gamma_at(mx, my, p) * gamma_at(-mx, -my, -p)) for mx, my, p in shell
-    )
+    total = sum((corr(m) for m in product(range(-G, G + 1), repeat=3) if m != (0, 0, 0)), 0.0)
+    tail = max(corr(m) for m in [(G + 1, 0, 0), (0, G + 1, 0), (0, 0, G + 1)])
     return total, tail
 
 
@@ -389,11 +330,7 @@ def estimate_bounds(disc: Discretization, kernel) -> FrameBoundReport:
     core, lam_tail = lambda_fn(kx, ky, w, disc, kernel, with_tail=True)
     i_min = np.unravel_index(np.argmin(core), core.shape)
     i_max = np.unravel_index(np.argmax(core), core.shape)
-    spans = [
-        math.log(disc.a0) / disc.grid_size,
-        disc.theta0 / disc.grid_size,
-        math.log(disc.a0 * disc.c0 ** (2.0 / 3.0)) / disc.grid_size,
-    ]
+    spans = [extent / disc.grid_size for extent in _box_extents(disc)]
 
     def start_at(idx):
         return [logr[idx[0]], phi[idx[1]], logw[idx[2]]]

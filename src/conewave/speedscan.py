@@ -39,6 +39,8 @@ def golden_section_maximize(f, lo: float, hi: float, tol: float = 1e-3):
     """
     if hi < lo:
         raise ValueError("empty bracket")
+    if not tol > 0:  # also rejects NaN, which would end the search at once
+        raise ValueError("tol must be positive")
     evals = {lo: f(lo), hi: f(hi)}
     a, b = lo, hi
     c = b - (b - a) * _INV_GOLDEN
@@ -89,6 +91,8 @@ class ScanConfig:
             raise ValueError("speed grid must contain at least 3 samples")
         if self.refine not in ("none", "golden-section"):
             raise ValueError(f"unknown refinement {self.refine!r}")
+        if not self.refine_tol > 0:
+            raise ValueError("refine_tol must be positive")
 
     def speed_grid(self) -> np.ndarray:
         n = int(math.floor((self.c_max - self.c_min) / self.c_step + 1e-9)) + 1

@@ -109,6 +109,14 @@ def test_scan_rejects_degenerate_grid(benchmark_file, tmp_path):
     assert code == 2
 
 
+def test_scan_non_positive_refine_tol_exits_2(benchmark_file, tmp_path):
+    code = run(
+        "scan", "--in", str(benchmark_file), "--refine", "--refine-tol", "0",
+        "--out", str(tmp_path / "x.csv"),
+    )
+    assert code == 2
+
+
 def test_scan_missing_input_exits_3(tmp_path):
     assert run("scan", "--in", str(tmp_path / "missing.stv"),
                "--out", str(tmp_path / "x.csv")) == 3
@@ -279,6 +287,13 @@ def test_frame_bounds_invalid_exits_5(tmp_path):
         "--grid-size", "8", "--scale-range", "1", "--gamma-stride", "2",
     )
     assert code == 5
+
+
+@pytest.mark.parametrize("flag", ["--grid-size", "--gamma-stride"])
+def test_frame_bounds_zero_size_exits_2(flag, tmp_path):
+    out = tmp_path / "bounds.json"
+    assert run("frame-bounds", flag, "0", "--out", str(out)) == 2
+    assert not out.exists()
 
 
 def test_frame_bounds_malformed_flags_exit_2():

@@ -169,3 +169,75 @@ def test_gcm_response_matches_eval_gcm():
     k = gcm_response(params)
     kx = np.linspace(-5, 5, 7)
     assert np.allclose(k(kx, 0.1, 3.0), eval_gcm(kx, 0.1, 3.0, params), rtol=1e-14)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("grid_size", 0), ("gamma_stride", 0), ("gamma_stride", -2),
+    ("polish_tol", 0.0), ("polish_tol", -1.0), ("polish_tol", math.nan), ("q_indices", ()),
+])
+def test_discretization_rejects_bad_sizes_and_tolerances(field, value):
+    with pytest.raises(ValueError):
+        Discretization(**{field: value})
+
+
+def test_gamma_matches_naive_loop():
+    # Oracle: plain Python loops over the translation shifts (mx, my, p) and
+    # the lattice terms (l, n, q), vectorized only over the strided box.
+    disc = small_disc(b_x0=2.0, b_y0=2.0, tau0=2.0)
+    params = GcmParams()
+    centers = ((np.arange(12) + 0.5) / 12)[::3]
+    r = np.exp(centers * math.log(2.0))[:, None, None]
+    phi = (centers * math.pi / 8)[None, :, None]
+    w = np.exp(centers * math.log(2.0 * 2.0 ** (2.0 / 3.0)))[None, None, :]
+    kx, ky = r * np.cos(phi), r * np.sin(phi)
+
+    memo = {}
+
+    def big_gamma(mx, my, p):
+        if (mx, my, p) in memo:
+            return memo[mx, my, p]
+        bx, by, tau = 2 * math.pi * mx / 2.0, 2 * math.pi * my / 2.0, 2 * math.pi * p / 2.0
+        total = 0.0
+        for l in (-1, 0, 1):
+            for n in (-1, 0, 1):
+                s_sp = 2.0**l * 2.0 ** (n / 3.0)
+                s_t = 2.0**l * 2.0 ** (-2.0 * n / 3.0)
+                for q in range(16):
+                    c, s = math.cos(q * math.pi / 8), math.sin(q * math.pi / 8)
+                    k1 = eval_gcm(s_sp * (c * kx + s * ky), s_sp * (-s * kx + c * ky),
+                                  s_t * w, params)
+                    k2 = eval_gcm(s_sp * (c * (kx - bx) + s * (ky - by)),
+                                  s_sp * (-s * (kx - bx) + c * (ky - by)),
+                                  s_t * (w - tau), params)
+                    total = total + np.abs(k1) * np.abs(k2)
+        memo[mx, my, p] = float(np.max(total))
+        return memo[mx, my, p]
+
+    def corr(mx, my, p):
+        return math.sqrt(big_gamma(mx, my, p) * big_gamma(-mx, -my, -p))
+
+    gamma = 0.0
+    for mx in (-1, 0, 1):
+        for my in (-1, 0, 1):
+            for p in (-1, 0, 1):
+                if (mx, my, p) != (0, 0, 0):
+                    gamma += corr(mx, my, p)
+    tail = max(corr(2, 0, 0), corr(0, 2, 0), corr(0, 0, 2))
+
+    rep = estimate_bounds(disc, params)
+    assert gamma > rep.lambda_minus  # large enough to decide the frame's validity
+    assert rep.gamma == pytest.approx(gamma, rel=1e-12)
+    assert rep.gamma_tail == pytest.approx(tail, rel=1e-12, abs=1e-300)
+
+
+@pytest.mark.parametrize("steps", [{}, dict(b_x0=2.0, b_y0=2.0, tau0=2.0)])
+def test_generic_callable_matches_separable_kernel(steps):
+    disc = small_disc(**steps)
+    params = GcmParams()
+    separable = estimate_bounds(disc, params)
+    generic = estimate_bounds(disc, lambda kx, ky, w: eval_gcm(kx, ky, w, params))
+    for key, value in vars(separable).items():
+        if isinstance(value, float):
+            assert getattr(generic, key) == pytest.approx(value, rel=1e-12, abs=1e-300), key
+        else:
+            assert getattr(generic, key) == value, key

@@ -52,6 +52,19 @@ def test_golden_section_maximize_parabola():
     assert fx <= 0.0
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+def test_golden_section_rejects_non_positive_tol(tol):
+    # A tolerance that |b - a| can never drop below would loop forever; NaN
+    # would end the search after four evaluations.
+    def never(x):
+        raise AssertionError("evaluated before the tolerance was checked")
+
+    with pytest.raises(ValueError):
+        golden_section_maximize(never, 1.0, 2.0, tol)
+    with pytest.raises(ValueError):
+        ScanConfig(refine="golden-section", refine_tol=tol)
+
+
 def test_golden_section_never_below_endpoints():
     # Monotone function: the best point must be the better endpoint.
     x, fx = golden_section_maximize(lambda x: x, 0.0, 1.0, tol=1e-3)
