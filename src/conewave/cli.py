@@ -10,7 +10,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -110,24 +110,12 @@ def _add_scan_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", required=True)
 
 
-def _scan_config(args, **overrides) -> speedscan.ScanConfig:
-    base = dict(
-        c_min=args.c_min,
-        c_max=args.c_max,
-        c_step=args.c_step,
-        theta=args.theta,
-        a_s=args.a_s,
-        a_t=args.a_t,
-        alpha=args.alpha,
-        l=args.l,
-        m=args.m,
-        sigma=args.sigma,
-        omega0=args.omega0,
-        refine="golden-section" if args.refine else "none",
-        refine_tol=args.refine_tol,
-    )
-    base.update(overrides)
-    return speedscan.ScanConfig(**base)
+def _scan_config(args) -> speedscan.ScanConfig:
+    """ScanConfig from every parsed flag named like one of its fields."""
+    values = {f.name: getattr(args, f.name) for f in fields(speedscan.ScanConfig)
+              if hasattr(args, f.name)}
+    values["refine"] = "golden-section" if args.refine else "none"
+    return speedscan.ScanConfig(**values)
 
 
 def cmd_synth(args) -> int:
@@ -170,8 +158,9 @@ def cmd_scan(args) -> int:
 
 def cmd_orient_scan(args) -> int:
     seq = stvio.read_stv(args.infile)
-    if args.theta_step <= 0 or args.theta_max < args.theta_min:
-        raise ValueError("need theta-min <= theta-max and a positive theta-step")
+    if not (0 < args.theta_step < math.inf
+            and -math.inf < args.theta_min <= args.theta_max < math.inf):
+        raise ValueError("need finite theta-min <= theta-max and a finite positive theta-step")
     count = int(math.floor((args.theta_max - args.theta_min) / args.theta_step + 1e-9)) + 1
     thetas = [args.theta_min + i * args.theta_step for i in range(count)]
     rows = speedscan.scan_orientations(seq, _scan_config(args), thetas)

@@ -36,7 +36,7 @@ from itertools import product
 
 import numpy as np
 
-from .kernels import GcmParams, eval_gc_2d
+from .kernels import GcmParams, _require_finite, eval_gc_2d
 from .speedscan import golden_section_maximize
 
 ESTIMATE_LABEL = "estimate, not certificate"
@@ -67,6 +67,7 @@ class Discretization:
     polish_tol: float = 1e-4
 
     def __post_init__(self):
+        _require_finite(self, "a0", "c0", "b_x0", "b_y0", "tau0", "polish_tol")
         if self.a0 <= 1.0 or self.c0 <= 1.0:
             raise ValueError("a0 and c0 must exceed 1")
         if self.q1 < 1:

@@ -10,8 +10,7 @@ envelope, and a six-parameter motion group (translation, rotation, spatial
 and temporal scaling, speed tuning) acts on it.
 
 Every evaluator is a pure function of its arguments and broadcasts over
-numpy arrays, so parameter sweeps can share read-only kernel objects across
-workers.
+numpy arrays, so parameter sweeps can share read-only kernel objects.
 """
 
 import math
@@ -25,6 +24,14 @@ import numpy as np
 # slope omega/kx of a tuned kernel proportional to c.
 SPEED_EXPONENT_TEMPORAL = 2.0 / 3.0
 SPEED_EXPONENT_SPATIAL = 1.0 / 3.0
+
+
+def _require_finite(obj, *names: str) -> None:
+    """Reject NaN and infinite fields; order checks such as ``x <= 0`` let NaN through."""
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -107,10 +114,11 @@ class GcmParams:
     def __post_init__(self):
         if self.l < 1 or self.m < 1 or self.l != int(self.l) or self.m != int(self.m):
             raise ValueError(f"edge exponents must be integers >= 1, got l={self.l}, m={self.m}")
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
         if self.omega0 is None:
             object.__setattr__(self, "omega0", math.sqrt(self.l + self.m))
+        _require_finite(self, "sigma", "omega0")
+        if self.sigma <= 0:
+            raise ValueError(f"sigma must be positive, got {self.sigma}")
 
     @property
     def chi(self) -> float:
@@ -156,6 +164,7 @@ class GroupElement:
     c: float = 1.0
 
     def __post_init__(self):
+        _require_finite(self, "bx", "by", "tau", "theta", "a_s", "a_t", "c")
         if self.a_s <= 0 or self.a_t <= 0 or self.c <= 0:
             raise ValueError(
                 f"scales and speed tuning must be positive, got "

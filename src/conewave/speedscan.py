@@ -8,12 +8,11 @@ continuous c axis.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kernels import ConeSpec, GcmParams, GroupElement
+from .kernels import ConeSpec, GcmParams, GroupElement, _require_finite
 from .stcwt import (
     SequenceVolume,
     SpectrumVolume,
@@ -80,9 +79,11 @@ class ScanConfig:
     frame_range: tuple[int, ...] | None = None
     refine: str = "none"  # "none" or "golden-section"
     refine_tol: float = 1e-3
-    workers: int | None = None
 
     def __post_init__(self):
+        _require_finite(
+            self, "c_min", "c_max", "c_step", "theta", "a_s", "a_t", "alpha", "refine_tol"
+        )
         if not 0 < self.c_min < self.c_max:
             raise ValueError(f"need 0 < c_min < c_max, got [{self.c_min}, {self.c_max}]")
         if self.c_step <= 0:
@@ -98,18 +99,18 @@ class ScanConfig:
         n = int(math.floor((self.c_max - self.c_min) / self.c_step + 1e-9)) + 1
         return self.c_min + self.c_step * np.arange(n)
 
-    def params(self, alpha: float | None = None) -> GcmParams:
+    def params(self) -> GcmParams:
         return GcmParams(
             l=self.l,
             m=self.m,
             sigma=self.sigma,
             omega0=self.omega0,
-            cone=ConeSpec(alpha=self.alpha if alpha is None else alpha),
+            cone=ConeSpec(alpha=self.alpha),
         )
 
-    def tuning(self, c: float, theta: float | None = None) -> GroupElement:
+    def tuning(self, c: float) -> GroupElement:
         return GroupElement(
-            theta=self.theta if theta is None else theta,
+            theta=self.theta,
             a_s=self.a_s,
             a_t=self.a_t,
             c=c,
@@ -131,56 +132,35 @@ class EnergyCurve:
         return [(float(c), float(e)) for c, e in zip(self.c_values, self.energies)]
 
 
-def _curve_energies(spectrum, config, params, theta=None):
+def _scan_spectrum(spectrum: SpectrumVolume, config: ScanConfig) -> EnergyCurve:
+    """Speed scan of one spectrum: the grid energies, the dust floor and
+    no-motion test, and the optional golden-section refinement."""
+    params = config.params()
     cs = config.speed_grid()
+    energies, gains = np.array([
+        tuned_energy_detail(spectrum, config.tuning(float(c)), params, config.frame_range)
+        for c in cs
+    ]).T
 
-    def one(c):
-        return tuned_energy_detail(
-            spectrum, config.tuning(float(c), theta), params, frame_range=config.frame_range
-        )
-
-    if config.workers and config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            rows = list(pool.map(one, cs))
-    else:
-        rows = [one(c) for c in cs]
-    energies = np.array([r[0] for r in rows])
-    gains = np.array([r[1] for r in rows])
-    return cs, energies, gains
-
-
-def _locate_peak(spectrum, config, params, cs, energies, gains, theta=None):
     peak_idx = int(np.argmax(energies))  # first index wins ties, smaller c
     v_m = float(cs[peak_idx])
     peak = float(energies[peak_idx])
 
     floor = gains * spectrum.energy() * DUST_RELATIVE_FLOOR
     effective = np.where(energies <= floor, 0.0, energies)
-    no_motion = float(effective.max()) <= 0.0
-    if not no_motion:
-        emin = float(effective.min())
-        if emin > 0.0 and effective.max() / emin < 1.0 + FLAT_RATIO_THRESHOLD:
-            no_motion = True
+    emax, emin = float(effective.max()), float(effective.min())
+    no_motion = emax <= 0.0 or (emin > 0.0 and emax / emin < 1.0 + FLAT_RATIO_THRESHOLD)
 
     if config.refine == "golden-section" and not no_motion:
         lo = max(config.c_min, v_m - config.c_step)
         hi = min(config.c_max, v_m + config.c_step)
 
         def objective(c):
-            return tuned_energy(
-                spectrum, config.tuning(c, theta), params, frame_range=config.frame_range
-            )
+            return tuned_energy(spectrum, config.tuning(c), params, frame_range=config.frame_range)
 
         x, fx = golden_section_maximize(objective, lo, hi, config.refine_tol)
         if fx >= peak:
             v_m, peak = float(x), float(fx)
-    return v_m, peak, no_motion
-
-
-def _scan_spectrum(spectrum: SpectrumVolume, config: ScanConfig, theta=None, alpha=None):
-    params = config.params(alpha)
-    cs, energies, gains = _curve_energies(spectrum, config, params, theta)
-    v_m, peak, no_motion = _locate_peak(spectrum, config, params, cs, energies, gains, theta)
     return EnergyCurve(cs, energies, v_m, peak, no_motion)
 
 
@@ -189,18 +169,23 @@ def scan_speeds(seq: SequenceVolume, config: ScanConfig) -> EnergyCurve:
     return _scan_spectrum(forward_fft3(seq), config)
 
 
+def _sweep(seq: SequenceVolume, config: ScanConfig, field: str, values):
+    """One full speed scan per value of one config field, on one shared spectrum."""
+    spectrum = forward_fft3(seq)
+    out = []
+    for value in values:
+        curve = _scan_spectrum(spectrum, replace(config, **{field: float(value)}))
+        out.append((float(value), curve.v_m, curve.peak_energy))
+    return out
+
+
 def scan_orientations(seq: SequenceVolume, config: ScanConfig, theta_list):
     """One full speed scan per wavelet orientation.
 
     Returns [(theta, v_m, peak_energy), ...]; the input spectrum is
     computed once and shared across orientations.
     """
-    spectrum = forward_fft3(seq)
-    out = []
-    for theta in theta_list:
-        curve = _scan_spectrum(spectrum, config, theta=float(theta))
-        out.append((float(theta), curve.v_m, curve.peak_energy))
-    return out
+    return _sweep(seq, config, "theta", theta_list)
 
 
 def aperture_sweep(seq: SequenceVolume, config: ScanConfig, alpha_list):
@@ -208,9 +193,4 @@ def aperture_sweep(seq: SequenceVolume, config: ScanConfig, alpha_list):
 
     Returns [(alpha, v_m, peak_energy), ...].
     """
-    spectrum = forward_fft3(seq)
-    out = []
-    for alpha in alpha_list:
-        curve = _scan_spectrum(spectrum, config, alpha=float(alpha))
-        out.append((float(alpha), curve.v_m, curve.peak_energy))
-    return out
+    return _sweep(seq, config, "alpha", alpha_list)

@@ -41,6 +41,7 @@ from .kernels import (
     GroupElement,
     SPEED_EXPONENT_SPATIAL,
     SPEED_EXPONENT_TEMPORAL,
+    _prefactor,
     centered_shift,
     tuned_spatial,
     tuned_temporal,
@@ -207,9 +208,7 @@ def tuned_filter_factors(
     if g.bx != 0.0 or g.by != 0.0 or g.tau != 0.0:
         raise ValueError("translation parameters must be zero; the inverse FFT supplies them")
 
-    kx = 2 * np.pi * np.fft.fftfreq(spec.nx, d=spec.pixel_pitch)
-    ky = 2 * np.pi * np.fft.fftfreq(spec.ny, d=spec.pixel_pitch)
-    w = 2 * np.pi * np.fft.fftfreq(spec.nt, d=spec.frame_pitch)
+    kx, ky, w = spec.kx(), spec.ky(), spec.omega()
     k_period = 2 * np.pi / spec.pixel_pitch
     w_period = 2 * np.pi / spec.frame_pitch
 
@@ -231,7 +230,7 @@ def tuned_filter_factors(
                 (kx + jx * k_period + k0x)[:, None],
                 (ky + jy * k_period + k0y)[None, :],
             )
-    S *= 1.0 / (g.a_s * math.sqrt(g.a_t))
+    S *= _prefactor(g)
 
     T = np.zeros(spec.nt)
     for jt in _alias_range(t_cut, w_period):
@@ -301,24 +300,22 @@ def tuned_energy_detail(
     norm can produce; scans use it to tell genuine responses from FFT
     round-off dust.
     """
-    all_frames = frame_range is None or len(set(frame_range)) == spec.nt
+    frames = _frame_indices(range(spec.nt) if frame_range is None else frame_range, spec.nt)
+    all_frames = frames.size == spec.nt
     if method == "auto":
         method = "parseval" if all_frames else "inverse"
+    if method not in ("parseval", "inverse"):
+        raise ValueError(f"unknown energy method {method!r}")
+    if method == "parseval" and not all_frames:
+        raise ValueError("the Parseval shortcut requires the full frame range")
+    S, T = tuned_filter_factors(spec, g, params, centered)
+    gain = float(np.max(S**2)) * float(np.max(T**2))
     if method == "parseval":
-        if not all_frames:
-            raise ValueError("the Parseval shortcut requires the full frame range")
-        S, T = tuned_filter_factors(spec, g, params, centered)
-        gain = float(np.max(S**2)) * float(np.max(T**2))
         power = spec.data.real**2 + spec.data.imag**2
         per_pixel = power.reshape(spec.nx * spec.ny, spec.nt) @ (T**2)
         return float(per_pixel @ (S**2).ravel()), gain
-    if method == "inverse":
-        S, T = tuned_filter_factors(spec, g, params, centered)
-        gain = float(np.max(S**2)) * float(np.max(T**2))
-        coeffs = WaveletCoefficients(apply_spectral_filter(spec, S[:, :, None] * T), g)
-        frames = range(spec.nt) if frame_range is None else frame_range
-        return energy_density(coeffs, frames), gain
-    raise ValueError(f"unknown energy method {method!r}")
+    coeffs = WaveletCoefficients(apply_spectral_filter(spec, S[:, :, None] * T), g)
+    return energy_density(coeffs, frames), gain
 
 
 def tuned_energy(

@@ -2,11 +2,13 @@
 
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from conewave.cli import main, parse_angle
+from conewave.cli import _scan_config, build_parser, main, parse_angle
+from conewave.speedscan import ScanConfig
 from conewave.stvio import read_csv, read_sidecar, read_stv, read_stv_array, write_stv
 
 
@@ -26,6 +28,32 @@ def test_parse_angle_forms():
     assert parse_angle("3pi/4") == pytest.approx(3 * math.pi / 4)
     with pytest.raises(Exception):
         parse_angle("tau/2")
+
+
+@pytest.mark.parametrize("command", ["scan", "orient-scan", "aperture-sweep"])
+def test_scan_flag_defaults_are_the_config_defaults(command):
+    args = build_parser().parse_args([command, "--in", "x", "--out", "y"])
+    assert _scan_config(args) == ScanConfig()
+
+
+def test_every_scan_flag_sets_its_config_field():
+    args = build_parser().parse_args([
+        "scan", "--in", "x", "--out", "y", "--c-min", "0.5", "--c-max", "4",
+        "--c-step", "0.5", "--theta", "pi/4", "--a-s", "2", "--a-t", "1.5", "--refine",
+        "--refine-tol", "0.01", "--l", "4", "--m", "6", "--sigma", "2", "--omega0", "3.5",
+        "--alpha", "pi/8",
+    ])
+    config = _scan_config(args)
+    assert config == ScanConfig(
+        c_min=0.5, c_max=4.0, c_step=0.5, theta=math.pi / 4, a_s=2.0, a_t=1.5,
+        refine="golden-section", refine_tol=0.01, l=4, m=6, sigma=2.0, omega0=3.5,
+        alpha=math.pi / 8,
+    )
+    # Every field but frame_range has a flag, and the run above moved each one.
+    default = ScanConfig()
+    moved = {f.name for f in fields(ScanConfig)
+             if getattr(config, f.name) != getattr(default, f.name)}
+    assert moved == {f.name for f in fields(ScanConfig)} - {"frame_range"}
 
 
 def test_unknown_kernel_type_exits_2(tmp_path):
@@ -115,6 +143,18 @@ def test_scan_non_positive_refine_tol_exits_2(benchmark_file, tmp_path):
         "--out", str(tmp_path / "x.csv"),
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("scan", "--sigma=nan"), ("scan", "--a-t=inf"), ("scan", "--theta=nan"),
+    ("scan", "--c-max=inf"), ("scan", "--omega0=nan"), ("scan", "--refine-tol=inf"),
+    ("orient-scan", "--theta-min=-inf"), ("orient-scan", "--theta-max=inf"),
+    ("orient-scan", "--theta-step=nan"),
+])
+def test_scan_non_finite_flag_exits_2(benchmark_file, tmp_path, command, flag):
+    out = tmp_path / "x.csv"
+    assert run(command, "--in", str(benchmark_file), flag, "--out", str(out)) == 2
+    assert not out.exists()
 
 
 def test_scan_missing_input_exits_3(tmp_path):
@@ -293,6 +333,15 @@ def test_frame_bounds_invalid_exits_5(tmp_path):
 def test_frame_bounds_zero_size_exits_2(flag, tmp_path):
     out = tmp_path / "bounds.json"
     assert run("frame-bounds", flag, "0", "--out", str(out)) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--a0", "--c0", "--bx0", "--by0", "--tau0"])
+def test_frame_bounds_non_finite_step_exits_2(flag, tmp_path):
+    out = tmp_path / "bounds.json"
+    code = run("frame-bounds", flag, "nan", "--grid-size", "4", "--scale-range", "0",
+               "--out", str(out))
+    assert code == 2
     assert not out.exists()
 
 

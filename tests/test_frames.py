@@ -180,6 +180,13 @@ def test_discretization_rejects_bad_sizes_and_tolerances(field, value):
         Discretization(**{field: value})
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["a0", "c0", "b_x0", "b_y0", "tau0", "polish_tol"])
+def test_discretization_rejects_non_finite_steps(field, bad):
+    with pytest.raises(ValueError, match=field):
+        Discretization(**{field: bad})
+
+
 def test_gamma_matches_naive_loop():
     # Oracle: plain Python loops over the translation shifts (mx, my, p) and
     # the lattice terms (l, n, q), vectorized only over the strided box.

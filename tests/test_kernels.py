@@ -84,6 +84,16 @@ def test_group_element_identity_and_validation():
             GroupElement(**bad)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("cls, field", [
+    (GcmParams, "sigma"), (GcmParams, "omega0"),
+    *((GroupElement, f) for f in ("bx", "by", "tau", "theta", "a_s", "a_t", "c")),
+])
+def test_parameters_reject_non_finite_values(cls, field, bad):
+    with pytest.raises(ValueError, match=field):
+        cls(**{field: bad})
+
+
 def test_speed_exponents():
     assert SPEED_EXPONENT_TEMPORAL == pytest.approx(2.0 / 3.0)
     assert SPEED_EXPONENT_SPATIAL == pytest.approx(1.0 / 3.0)

@@ -13,7 +13,8 @@ from conewave.speedscan import (
     scan_orientations,
     scan_speeds,
 )
-from conewave.stcwt import SequenceVolume
+from conewave.kernels import GcmParams, GroupElement
+from conewave.stcwt import SequenceVolume, forward_fft3, tuned_energy
 from conewave.synth import GaussianSceneSpec, generate
 
 
@@ -25,6 +26,15 @@ def benchmark_scene(v_r=3.0, **overrides):
 
 # ---------------------------------------------------------------------------
 # configuration and helpers
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "field", ["c_min", "c_max", "c_step", "theta", "a_s", "a_t", "alpha", "refine_tol"]
+)
+def test_scan_config_rejects_non_finite_values(field, bad):
+    with pytest.raises(ValueError, match=field):
+        ScanConfig(**{field: bad})
 
 
 def test_scan_config_validation():
@@ -135,12 +145,14 @@ def test_argmax_scale_invariance():
     assert np.allclose(scaled.energies, 49.0 * curve.energies, rtol=1e-12)
 
 
-def test_workers_do_not_change_energies():
-    scene = benchmark_scene(3.0)
-    serial = scan_speeds(scene, ScanConfig())
-    threaded = scan_speeds(scene, ScanConfig(workers=4))
-    assert np.array_equal(serial.energies, threaded.energies)
-    assert serial.v_m == threaded.v_m
+@pytest.mark.parametrize("frames", [(0, 1, 2, 3, 4, 5, 6, 99), (-1, 0, 1, 2, 3, 4, 5, 6)])
+def test_out_of_range_frames_are_rejected_not_read_as_all(frames):
+    # As many indices as frames, but not the frames: no silent full-range scan.
+    scene = benchmark_scene(3.0, nt=8)
+    with pytest.raises(ValueError):
+        tuned_energy(forward_fft3(scene), GroupElement(c=3.0), GcmParams(), frame_range=frames)
+    with pytest.raises(ValueError):
+        scan_speeds(scene, ScanConfig(frame_range=frames))
 
 
 def test_frame_range_subset_scan():
@@ -169,6 +181,14 @@ def test_orientation_scan_captures_at_zero():
     by_theta = {r[0]: r for r in rows}
     assert by_theta[0.0][1] == pytest.approx(3.0, abs=0.25)
     assert by_theta[0.0][2] == max(r[2] for r in rows)
+
+
+def test_orientation_rows_match_single_scans():
+    scene = benchmark_scene(3.0, motion_angle=0.4)
+    thetas = [0.0, 0.4, -math.pi / 8]
+    for theta, v_m, peak in scan_orientations(scene, ScanConfig(), thetas):
+        curve = scan_speeds(scene, ScanConfig(theta=theta))
+        assert (v_m, peak) == (curve.v_m, curve.peak_energy)
 
 
 def test_monotone_selectivity():
