@@ -180,7 +180,15 @@ def cmd_aperture_sweep(args) -> int:
     return EXIT_OK
 
 
+def _require_extents(**extents) -> None:
+    """Reject a frequency-grid extent that is not finite and positive (NaN too)."""
+    for name, value in extents.items():
+        if not 0 < value < math.inf:
+            raise ValueError(f"--{name} must be finite and positive, got {value}")
+
+
 def _kernel_grid(args):
+    _require_extents(kmax=args.kmax, wmax=args.wmax)
     nx, ny, nt = args.grid
     kx = np.linspace(-args.kmax, args.kmax, nx)
     ky = np.linspace(-args.kmax, args.kmax, ny)
@@ -276,6 +284,7 @@ def _radial_center(magnitude: np.ndarray, kx: np.ndarray, ky: np.ndarray) -> flo
 def cmd_compare_aperture(args) -> int:
     if len(args.morlet_k0) != len(args.morlet_eps):
         raise ValueError("morlet k0 and epsilon lists must have matching lengths")
+    _require_extents(kmax=args.kmax)
     kx = np.linspace(-args.kmax, args.kmax, args.grid_n)
     ky = np.linspace(-args.kmax, args.kmax, args.grid_n)
     KX, KY = kx[:, None], ky[None, :]

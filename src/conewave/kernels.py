@@ -221,20 +221,41 @@ def eval_cauchy_2d(kx, ky, cone: ConeSpec, l: int, m: int, eta: tuple[float, flo
     return np.where(cone.contains(kx, ky), val, 0.0)
 
 
+def _gc_formula(ux, uy, dp, dm, params: GcmParams):
+    """dm**l * dp**m times the axial Gaussian, with no cone mask."""
+    ax, ay = params.cone.axis_unit
+    axial = ux * ax + uy * ay
+    with np.errstate(over="ignore", invalid="ignore"):
+        return dm**params.l * dp**params.m * np.exp(
+            -0.5 * params.sigma * (axial - params.chi) ** 2
+        )
+
+
 def _gc_profile(ux, uy, params: GcmParams):
-    """GC value at (already scaled/rotated) frequency coordinates (ux, uy)."""
+    """GC value at (already scaled/rotated) frequency coordinates (ux, uy).
+
+    The profile is exactly 0 outside the cone, where k . e_dual_plus < 0 or
+    k . e_dual_minus < 0 (or either is NaN); at the default aperture that is
+    about 15/16 of the plane.  So the powers and the Gaussian are evaluated
+    only at the points inside and scattered into zeros.  Every kept point
+    gets the same operations in the same order as a full evaluation, so the
+    result is bit-identical to np.where(inside, formula, 0.0) over all
+    points.  A single point (scalar or 0-d input) takes that np.where form,
+    which keeps numpy's scalar arithmetic for it.
+    """
     cone = params.cone
     px, py = cone.dual_plus
     mx, my = cone.dual_minus
-    ax, ay = cone.axis_unit
     dp = ux * px + uy * py
     dm = ux * mx + uy * my
-    axial = ux * ax + uy * ay
-    with np.errstate(over="ignore", invalid="ignore"):
-        val = dm**params.l * dp**params.m * np.exp(
-            -0.5 * params.sigma * (axial - params.chi) ** 2
-        )
-    return np.where((dp >= 0.0) & (dm >= 0.0), val, 0.0)
+    inside = (dp >= 0.0) & (dm >= 0.0)
+    if np.ndim(inside) == 0:
+        return np.where(inside, _gc_formula(ux, uy, dp, dm, params), 0.0)
+    ux, uy = np.broadcast_arrays(ux, uy)
+    val = _gc_formula(ux[inside], uy[inside], dp[inside], dm[inside], params)
+    out = np.zeros(inside.shape, dtype=val.dtype)
+    out[inside] = val
+    return out
 
 
 def eval_gc_2d(kx, ky, params: GcmParams):

@@ -132,13 +132,17 @@ class EnergyCurve:
         return [(float(c), float(e)) for c, e in zip(self.c_values, self.energies)]
 
 
-def _scan_spectrum(spectrum: SpectrumVolume, config: ScanConfig) -> EnergyCurve:
+def _scan_spectrum(
+    spectrum: SpectrumVolume, config: ScanConfig, power: np.ndarray | None, energy: float
+) -> EnergyCurve:
     """Speed scan of one spectrum: the grid energies, the dust floor and
-    no-motion test, and the optional golden-section refinement."""
+    no-motion test, and the optional golden-section refinement.  power and
+    energy are the spectrum's, formed once by _scans."""
     params = config.params()
     cs = config.speed_grid()
     energies, gains = np.array([
-        tuned_energy_detail(spectrum, config.tuning(float(c)), params, config.frame_range)
+        tuned_energy_detail(spectrum, config.tuning(float(c)), params, config.frame_range,
+                            power=power)
         for c in cs
     ]).T
 
@@ -146,7 +150,7 @@ def _scan_spectrum(spectrum: SpectrumVolume, config: ScanConfig) -> EnergyCurve:
     v_m = float(cs[peak_idx])
     peak = float(energies[peak_idx])
 
-    floor = gains * spectrum.energy() * DUST_RELATIVE_FLOOR
+    floor = gains * energy * DUST_RELATIVE_FLOOR
     effective = np.where(energies <= floor, 0.0, energies)
     emax, emin = float(effective.max()), float(effective.min())
     no_motion = emax <= 0.0 or (emin > 0.0 and emax / emin < 1.0 + FLAT_RATIO_THRESHOLD)
@@ -156,7 +160,8 @@ def _scan_spectrum(spectrum: SpectrumVolume, config: ScanConfig) -> EnergyCurve:
         hi = min(config.c_max, v_m + config.c_step)
 
         def objective(c):
-            return tuned_energy(spectrum, config.tuning(c), params, frame_range=config.frame_range)
+            return tuned_energy(spectrum, config.tuning(c), params,
+                                frame_range=config.frame_range, power=power)
 
         x, fx = golden_section_maximize(objective, lo, hi, config.refine_tol)
         if fx >= peak:
@@ -164,19 +169,33 @@ def _scan_spectrum(spectrum: SpectrumVolume, config: ScanConfig) -> EnergyCurve:
     return EnergyCurve(cs, energies, v_m, peak, no_motion)
 
 
+def _scans(seq: SequenceVolume, configs) -> list[EnergyCurve]:
+    """One speed scan per config, all on one shared spectrum of seq.
+
+    The power spectrum and the total energy depend on the spectrum alone, so
+    they are formed here once for every tuning of every scan, and dropped on
+    return.  Scans with a frame_range get no shared power: a partial range
+    takes the inverse path, which does not read it.
+    """
+    spectrum = forward_fft3(seq)
+    energy = spectrum.energy()
+    power = None
+    if all(config.frame_range is None for config in configs):
+        power = spectrum.data.real**2 + spectrum.data.imag**2
+    return [_scan_spectrum(spectrum, config, power, energy) for config in configs]
+
+
 def scan_speeds(seq: SequenceVolume, config: ScanConfig) -> EnergyCurve:
     """Energy curve over the configured speed grid (one input FFT total)."""
-    return _scan_spectrum(forward_fft3(seq), config)
+    (curve,) = _scans(seq, [config])
+    return curve
 
 
 def _sweep(seq: SequenceVolume, config: ScanConfig, field: str, values):
     """One full speed scan per value of one config field, on one shared spectrum."""
-    spectrum = forward_fft3(seq)
-    out = []
-    for value in values:
-        curve = _scan_spectrum(spectrum, replace(config, **{field: float(value)}))
-        out.append((float(value), curve.v_m, curve.peak_energy))
-    return out
+    values = [float(value) for value in values]
+    curves = _scans(seq, [replace(config, **{field: value}) for value in values])
+    return [(value, curve.v_m, curve.peak_energy) for value, curve in zip(values, curves)]
 
 
 def scan_orientations(seq: SequenceVolume, config: ScanConfig, theta_list):

@@ -293,12 +293,18 @@ def tuned_energy_detail(
     frame_range=None,
     method: str = "auto",
     centered: bool = False,
+    *,
+    power: np.ndarray | None = None,
 ) -> tuple[float, float]:
     """(total coefficient energy, peak power gain) for one tuning.
 
     The peak power gain max|response|^2 bounds the energy any input of unit
     norm can produce; scans use it to tell genuine responses from FFT
     round-off dust.
+
+    power, if given, must be spec.data.real**2 + spec.data.imag**2, formed
+    once by a caller that evaluates many tunings on one spectrum; only the
+    Parseval path reads it.
     """
     frames = _frame_indices(range(spec.nt) if frame_range is None else frame_range, spec.nt)
     all_frames = frames.size == spec.nt
@@ -311,7 +317,10 @@ def tuned_energy_detail(
     S, T = tuned_filter_factors(spec, g, params, centered)
     gain = float(np.max(S**2)) * float(np.max(T**2))
     if method == "parseval":
-        power = spec.data.real**2 + spec.data.imag**2
+        if power is None:
+            power = spec.data.real**2 + spec.data.imag**2
+        elif power.shape != spec.data.shape:
+            raise ValueError(f"power shape {power.shape} differs from spectrum {spec.data.shape}")
         per_pixel = power.reshape(spec.nx * spec.ny, spec.nt) @ (T**2)
         return float(per_pixel @ (S**2).ravel()), gain
     coeffs = WaveletCoefficients(apply_spectral_filter(spec, S[:, :, None] * T), g)
@@ -325,12 +334,15 @@ def tuned_energy(
     frame_range=None,
     method: str = "auto",
     centered: bool = False,
+    *,
+    power: np.ndarray | None = None,
 ) -> float:
     """Total coefficient energy for one tuning.
 
     method "parseval" reads the energy off the spectrum (valid when the
     frame range covers all frames), "inverse" goes through the coefficient
     volume, "auto" picks the shortcut whenever it applies.  Both paths
-    agree to within round-off and are cross-checked in the tests.
+    agree to within round-off and are cross-checked in the tests.  power is
+    the shared power spectrum of tuned_energy_detail.
     """
-    return tuned_energy_detail(spec, g, params, frame_range, method, centered)[0]
+    return tuned_energy_detail(spec, g, params, frame_range, method, centered, power=power)[0]

@@ -291,6 +291,15 @@ def test_kernel_dump_morlet_and_cauchy(tmp_path):
     assert np.max(real) > 0.0
 
 
+@pytest.mark.parametrize("flag", ["--kmax", "--wmax"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-2"])
+def test_kernel_bad_grid_extent_exits_2_and_writes_nothing(tmp_path, flag, value):
+    code = run("kernel", "--type", "gc2d", "--grid", "8x8x3", f"{flag}={value}",
+               "--out", str(tmp_path / "k"))
+    assert code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # frame bounds
 
@@ -383,3 +392,11 @@ def test_compare_aperture_morlet_only(tmp_path):
 def test_compare_aperture_list_mismatch_exits_2(tmp_path):
     assert run("compare-aperture", "--morlet-k0", "6,12", "--morlet-eps", "1",
                "--out", str(tmp_path / "x.csv")) == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-2"])
+def test_compare_aperture_bad_kmax_exits_2_and_writes_nothing(tmp_path, value):
+    code = run("compare-aperture", "--grid-n", "9", f"--kmax={value}",
+               "--out", str(tmp_path / "x.csv"))
+    assert code == 2
+    assert list(tmp_path.iterdir()) == []

@@ -12,6 +12,7 @@ from conewave.kernels import (
     MorletParams,
     SPEED_EXPONENT_SPATIAL,
     SPEED_EXPONENT_TEMPORAL,
+    _gc_profile,
     apply_group,
     arp,
     arp_conical,
@@ -472,6 +473,73 @@ def test_edge_values_are_exactly_zero():
     for edge in (alpha, -alpha):
         vals = eval_gc_2d(r * math.cos(edge), r * math.sin(edge), p)
         assert np.all(np.abs(vals) <= 1e-40 * max(peak, 1.0))
+
+
+def _plain_gc(ux, uy, p):
+    """The GC formula evaluated at every point and masked afterwards: the
+    reference that the cone-only evaluation must match byte for byte."""
+    px, py = p.cone.dual_plus
+    mx, my = p.cone.dual_minus
+    ax, ay = p.cone.axis_unit
+    dp = ux * px + uy * py
+    dm = ux * mx + uy * my
+    axial = ux * ax + uy * ay
+    with np.errstate(over="ignore", invalid="ignore"):
+        val = dm**p.l * dp**p.m * np.exp(-0.5 * p.sigma * (axial - p.chi) ** 2)
+    return np.where((dp >= 0.0) & (dm >= 0.0), val, 0.0)
+
+
+def _assert_same_bytes(got, want):
+    assert type(got) is type(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()  # signed zeros and NaN count
+
+
+def _special_points(p):
+    """Points on both cone edges, the apex with both zero signs, points
+    just inside and outside, and NaN and infinite coordinates."""
+    mx, my = p.cone.dual_minus
+    px, py = p.cone.dual_plus
+    ax, ay = p.cone.axis_unit
+    r = 2.0 ** np.arange(-1, 4)
+    inf, nan = math.inf, math.nan
+    ux = np.concatenate([r * -my, r * py, [0.0, -0.0, 0.0, -0.0], 4.0 * ax + r * 1e-3 * -ay,
+                         4.0 * ax - r * 1e-3 * -ay, [nan, 1.0, nan, inf, -inf, inf, 0.0, inf]])
+    uy = np.concatenate([r * mx, r * -px, [0.0, -0.0, -0.0, 0.0], 4.0 * ay + r * 1e-3 * ax,
+                         4.0 * ay - r * 1e-3 * ax, [0.0, nan, nan, 0.0, 0.0, inf, inf, 1e300]])
+    return ux, uy
+
+
+@pytest.mark.parametrize("alpha", [math.pi / 256, math.pi / 16, math.pi / 8])
+@pytest.mark.parametrize(
+    "l,m,sigma,axis", [(10, 10, 1.0, 0.0), (3, 7, 2.5, 0.3), (1, 2, 0.4, -2.0)]
+)
+def test_cone_only_profile_is_bit_identical_to_the_plain_formula(alpha, l, m, sigma, axis):
+    p = default_params(l=l, m=m, sigma=sigma, cone=ConeSpec(alpha=alpha, theta_axis=axis))
+    rng = np.random.default_rng(7)
+    kx = np.linspace(-12.0, 12.0, 41)[:, None]
+    ky = np.linspace(-12.0, 12.0, 37)[None, :]
+    # The (q, g, g, 1) rotation stacks of frames._term_factors.
+    theta = np.arange(4)[:, None, None, None] * math.pi / 4
+    r = rng.uniform(0.1, 10.0, (1, 6, 1, 1)) * np.ones((1, 1, 5, 1))
+    phi = rng.uniform(0.0, 0.5, (1, 1, 5, 1)) * np.ones((1, 6, 1, 1))
+    stack = (np.cos(theta) * r * np.cos(phi) + np.sin(theta) * r * np.sin(phi),
+             -np.sin(theta) * r * np.cos(phi) + np.cos(theta) * r * np.sin(phi))
+    cases = [
+        (kx, ky),
+        stack,
+        _special_points(p),
+        (rng.normal(0.0, 6.0, 500), rng.normal(0.0, 6.0, 500)),
+        (4.0, 0.1), (-4.0, 0.1), (0.0, -0.0), (math.nan, 1.0), (math.inf, 0.0),
+        (np.array(4.0), np.array(0.1)), (np.array(-0.0), np.array(-0.0)),
+        (np.float64(3.9), np.float64(-0.05)),
+        (np.linspace(0.0, 6.0, 7), 0.0),
+    ]
+    with np.errstate(invalid="ignore"):  # inf - inf in the projections is NaN
+        for ux, uy in cases:
+            _assert_same_bytes(_gc_profile(ux, uy, p), _plain_gc(ux, uy, p))
+            want = _plain_gc(np.asarray(ux, dtype=float), np.asarray(uy, dtype=float), p)
+            _assert_same_bytes(eval_gc_2d(ux, uy, p), want)
 
 
 def _directional_difference(p, edge_angle, order, h):

@@ -1,6 +1,7 @@
 """Speed scans on travelling-Gaussian benchmarks."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -239,3 +240,22 @@ def test_single_aperture_sweep_matches_scan_speeds():
     curve = scan_speeds(scene, ScanConfig())
     assert rows[0][1] == curve.v_m
     assert rows[0][2] == curve.peak_energy
+
+
+def test_refined_aperture_rows_match_single_scans():
+    scene = benchmark_scene(3.0, motion_angle=0.1)
+    config = ScanConfig(refine="golden-section")
+    alphas = [math.pi / 8, math.pi / 16, math.pi / 64]
+    for alpha, v_m, peak in aperture_sweep(scene, config, alphas):
+        curve = scan_speeds(scene, replace(config, alpha=alpha))
+        assert (v_m, peak) == (curve.v_m, curve.peak_energy)
+        assert v_m not in set(curve.c_values)  # the refinement moved the peak
+
+
+def test_scan_energies_equal_per_tuning_energies():
+    scene = benchmark_scene(2.6, motion_angle=0.3, pattern_angle=0.3)
+    config = ScanConfig(theta=0.3)
+    curve = scan_speeds(scene, config)
+    spec, params = forward_fft3(scene), config.params()
+    alone = [tuned_energy(spec, config.tuning(float(c)), params) for c in curve.c_values]
+    assert curve.energies.tolist() == alone

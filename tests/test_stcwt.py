@@ -18,6 +18,7 @@ from conewave.stcwt import (
     reset_fft_count,
     spatial_nyquist_leakage,
     tuned_energy,
+    tuned_energy_detail,
     tuned_filter_factors,
 )
 
@@ -265,6 +266,30 @@ def test_parseval_shortcut_requires_full_frame_range():
     partial = tuned_energy(spec, GroupElement(), wide_params(), frame_range=[0, 1])
     full = tuned_energy(spec, GroupElement(), wide_params())
     assert 0.0 < partial < full
+
+
+def test_shared_power_leaves_energy_and_gain_unchanged():
+    spec = forward_fft3(random_sequence((16, 12, 8), seed=21))
+    power = spec.data.real**2 + spec.data.imag**2
+    for params, g in [(wide_params(), GroupElement(c=0.7)),
+                      (GcmParams(), GroupElement(theta=0.5, a_s=1.5, a_t=2.0, c=2.4))]:
+        alone = tuned_energy_detail(spec, g, params)
+        assert tuned_energy_detail(spec, g, params, power=power) == alone
+        assert tuned_energy(spec, g, params, power=power) == alone[0]
+        assert tuned_energy(spec, g, params, centered=True, power=power) == tuned_energy(
+            spec, g, params, centered=True)
+
+
+def test_only_the_parseval_path_reads_the_shared_power():
+    spec = forward_fft3(random_sequence((16, 12, 8), seed=22))
+    g, params = GroupElement(c=1.3), wide_params()
+    wrong = np.zeros(spec.data.shape)  # read by any path, it would give energy 0
+    assert tuned_energy(spec, g, params, method="parseval", power=wrong) == 0.0
+    for kwargs in ({"method": "inverse"}, {"frame_range": [0, 2, 5]}):
+        assert tuned_energy_detail(spec, g, params, power=wrong, **kwargs) == (
+            tuned_energy_detail(spec, g, params, **kwargs))
+    with pytest.raises(ValueError):
+        tuned_energy(spec, g, params, power=np.zeros((12, 16, 8)))
 
 
 def test_centered_filtering_paths_agree():
