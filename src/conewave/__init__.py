@@ -13,11 +13,9 @@ from .kernels import (
     GroupElement,
     MorletParams,
     apply_group,
-    arp,
     arp_conical,
     arp_morlet,
     central_wavevector,
-    eval_cauchy_1d,
     eval_cauchy_2d,
     eval_centered_gcm,
     eval_gc_2d,
@@ -28,7 +26,6 @@ from .speedscan import EnergyCurve, ScanConfig, aperture_sweep, scan_orientation
 from .stcwt import (
     SequenceVolume,
     SpectrumVolume,
-    WaveletCoefficients,
     apply_tuned_filter,
     energy_density,
     forward_fft3,
@@ -52,18 +49,15 @@ __all__ = [
     "ScanConfig",
     "SequenceVolume",
     "SpectrumVolume",
-    "WaveletCoefficients",
     "add_noise",
     "aperture_sweep",
     "apply_group",
     "apply_tuned_filter",
-    "arp",
     "arp_conical",
     "arp_morlet",
     "central_wavevector",
     "energy_density",
     "estimate_bounds",
-    "eval_cauchy_1d",
     "eval_cauchy_2d",
     "eval_centered_gcm",
     "eval_gc_2d",

@@ -187,8 +187,15 @@ def _require_extents(**extents) -> None:
             raise ValueError(f"--{name} must be finite and positive, got {value}")
 
 
+def _gcm_params(args, theta_axis: float = 0.0) -> GcmParams:
+    return GcmParams(l=args.l, m=args.m, sigma=args.sigma, omega0=args.omega0,
+                     cone=ConeSpec(alpha=args.alpha, theta_axis=theta_axis))
+
+
 def _kernel_grid(args):
     _require_extents(kmax=args.kmax, wmax=args.wmax)
+    if min(args.grid) < 1:
+        raise ValueError(f"--grid sizes must be at least 1, got {'x'.join(map(str, args.grid))}")
     nx, ny, nt = args.grid
     kx = np.linspace(-args.kmax, args.kmax, nx)
     ky = np.linspace(-args.kmax, args.kmax, ny)
@@ -201,10 +208,7 @@ def cmd_kernel(args) -> int:
     KX = kx[:, None, None]
     KY = ky[None, :, None]
     W = w[None, None, :]
-    params = GcmParams(
-        l=args.l, m=args.m, sigma=args.sigma, omega0=args.omega0,
-        cone=ConeSpec(alpha=args.alpha, theta_axis=args.theta_axis),
-    )
+    params = _gcm_params(args, args.theta_axis)
     g = GroupElement(
         bx=args.bx, by=args.by, tau=args.tau,
         theta=args.theta, a_s=args.a_s, a_t=args.a_t, c=args.c,
@@ -214,13 +218,12 @@ def cmd_kernel(args) -> int:
     elif args.type == "centered-gcm":
         values = eval_centered_gcm(g, params, KX, KY, W)
     elif args.type == "gc2d":
-        values = eval_gc_2d(KX, KY, params) * np.ones_like(W)
+        values = eval_gc_2d(KX, KY, params)
     elif args.type == "morlet2d":
         morlet = MorletParams(k0=args.k0, epsilon=args.epsilon)
-        values = eval_morlet_2d(KX, KY, morlet, with_correction=args.correction) * np.ones_like(W)
+        values = eval_morlet_2d(KX, KY, morlet, with_correction=args.correction)
     elif args.type == "cauchy2d":
-        cone = ConeSpec(alpha=args.alpha, theta_axis=args.theta_axis)
-        values = eval_cauchy_2d(KX, KY, cone, args.l, args.m, args.eta) * np.ones_like(W)
+        values = eval_cauchy_2d(KX, KY, params.cone, args.l, args.m, args.eta)
     else:  # pragma: no cover - argparse choices guard this
         raise ValueError(f"unknown kernel type {args.type!r}")
 
@@ -262,10 +265,7 @@ def cmd_frame_bounds(args) -> int:
     if args.stub_tight_frame:
         kernel = frames.tight_frame_stub(disc)
     else:
-        kernel = GcmParams(
-            l=args.l, m=args.m, sigma=args.sigma, omega0=args.omega0,
-            cone=ConeSpec(alpha=args.alpha),
-        )
+        kernel = _gcm_params(args)
     report = frames.estimate_bounds(disc, kernel)
     text = report.to_json()
     if args.out:
@@ -285,6 +285,8 @@ def cmd_compare_aperture(args) -> int:
     if len(args.morlet_k0) != len(args.morlet_eps):
         raise ValueError("morlet k0 and epsilon lists must have matching lengths")
     _require_extents(kmax=args.kmax)
+    if args.grid_n < 1:
+        raise ValueError(f"--grid-n must be at least 1, got {args.grid_n}")
     kx = np.linspace(-args.kmax, args.kmax, args.grid_n)
     ky = np.linspace(-args.kmax, args.kmax, args.grid_n)
     KX, KY = kx[:, None], ky[None, :]

@@ -24,7 +24,8 @@ point before the scaling.
 
 Every lattice sum goes through _term_factors, which yields per (l, n) pair
 the spatial magnitudes S of the q rotations, stacked on a leading axis, and
-the temporal magnitude T they share.  The sum over q is therefore taken
+the temporal magnitude T they share: for a GcmParams kernel, the GC profile
+and the temporal envelope of the kernels module.  The sum over q is taken
 before the product with T: Lambda = sum over (l, n) of (sum_q S**2) * T**2.
 """
 
@@ -36,7 +37,7 @@ from itertools import product
 
 import numpy as np
 
-from .kernels import GcmParams, _require_finite, eval_gc_2d
+from .kernels import GcmParams, _require_finite, _temporal_envelope, eval_gc_2d
 from .speedscan import golden_section_maximize
 
 ESTIMATE_LABEL = "estimate, not certificate"
@@ -117,31 +118,6 @@ class FrameBoundReport:
         return json.dumps(payload, sort_keys=True, indent=2)
 
 
-class _SeparableKernel:
-    """Kernel whose magnitude factors into spatial(kx, ky) * temporal(w).
-
-    The lattice sums exploit the factorization: the q rotations of a term
-    share its temporal factor, so the spatial factor is evaluated on the
-    (kx, ky) grid only and the temporal one once per (l, n) pair, and the
-    sum over q is taken before the product with the temporal factor.
-    """
-
-    def __init__(self, spatial, temporal):
-        self.spatial = spatial
-        self.temporal = temporal
-
-    def __call__(self, kx, ky, omega):
-        return self.spatial(kx, ky) * self.temporal(omega)
-
-
-def gcm_response(params: GcmParams) -> _SeparableKernel:
-    """Kernel callable (kx, ky, omega) -> magnitude for a GCM family."""
-    return _SeparableKernel(
-        lambda kx, ky: eval_gc_2d(kx, ky, params),
-        lambda omega: np.exp(-0.5 * (np.asarray(omega, dtype=float) - params.omega0) ** 2),
-    )
-
-
 def tight_frame_stub(disc: Discretization):
     """Indicator kernel whose squared magnitudes tile the lattice exactly.
 
@@ -180,22 +156,17 @@ def tight_frame_stub(disc: Discretization):
     return response
 
 
-def _resolve_kernel(kernel):
-    if isinstance(kernel, GcmParams):
-        return gcm_response(kernel)
-    if callable(kernel):
-        return kernel
-    raise TypeError(f"kernel must be GcmParams or a callable, got {type(kernel).__name__}")
-
-
 def _term_factors(kernel, disc: Discretization, pairs, kx, ky, omega):
     """Yield (S, T) for each lattice pair (l, n) at the given frequencies.
 
     S stacks the spatial magnitudes of the q rotations on a leading axis; T
-    is the temporal magnitude they share.  A kernel that does not factor
-    yields its full magnitude as S and 1.0 as T.  kx, ky and omega broadcast
-    against each other.
+    is the temporal magnitude they share.  A callable kernel does not factor:
+    it yields its full magnitude as S and 1.0 as T.  kx, ky and omega
+    broadcast against each other.
     """
+    separable = isinstance(kernel, GcmParams)
+    if not separable and not callable(kernel):
+        raise TypeError(f"kernel must be GcmParams or a callable, got {type(kernel).__name__}")
     nd = max(np.ndim(kx), np.ndim(ky), np.ndim(omega))
     kx, ky, omega = (np.array(v, dtype=float, ndmin=nd) for v in (kx, ky, omega))
     ct = np.array([math.cos(q * disc.theta0) for q in disc.q_indices])
@@ -207,9 +178,9 @@ def _term_factors(kernel, disc: Discretization, pairs, kx, ky, omega):
         s_t = disc.a0**l * disc.c0 ** (-2.0 * n / 3.0)
         # The rotated coordinates get no local name, so that they are freed
         # before the caller reduces the yielded factors (peak memory).
-        if isinstance(kernel, _SeparableKernel):
-            yield (np.abs(kernel.spatial(s_sp * ux, s_sp * uy)),
-                   np.abs(kernel.temporal(s_t * omega)))
+        if separable:
+            yield (np.abs(eval_gc_2d(s_sp * ux, s_sp * uy, kernel)),
+                   np.abs(_temporal_envelope(s_t * omega, kernel)))
         else:
             yield np.abs(kernel(s_sp * ux, s_sp * uy, s_t * omega)), 1.0
 
@@ -220,7 +191,6 @@ def lambda_fn(kx, ky, omega, disc: Discretization, kernel, with_tail: bool = Fal
     With with_tail=True also returns the largest squared term on the first
     dropped scale/speed shell, a diagnostic for the truncation error.
     """
-    kernel = _resolve_kernel(kernel)
     factors = _term_factors(kernel, disc, product(disc.scale_indices(), repeat=2), kx, ky, omega)
     core = sum(np.sum(s**2, axis=0) * t**2 for s, t in factors)
     if not with_tail:
@@ -324,7 +294,6 @@ def estimate_bounds(disc: Discretization, kernel) -> FrameBoundReport:
     The report is flagged invalid (without raising) when the estimated
     lower bound is not positive.
     """
-    kernel = _resolve_kernel(kernel)
     logr, phi, logw = _search_grid(disc)
     kx, ky, w = _box_coords(logr, phi, logw)
 

@@ -84,13 +84,21 @@ class ConeSpec:
     def axis_unit(self) -> tuple[float, float]:
         return self._unit(0.0)
 
-    def contains(self, kx, ky):
-        """Membership mask; points exactly on an edge count as inside."""
+    def _dual_projections(self, kx, ky):
+        """(k . e_dual_plus, k . e_dual_minus, inside mask): an edge point is
+        inside, a NaN projection (NaN input, or inf - inf) outside.  Callers
+        hold an errstate that ignores invalid operations."""
         px, py = self.dual_plus
         mx, my = self.dual_minus
-        kx = np.asarray(kx, dtype=float)
-        ky = np.asarray(ky, dtype=float)
-        return (kx * px + ky * py >= 0.0) & (kx * mx + ky * my >= 0.0)
+        dp = kx * px + ky * py
+        dm = kx * mx + ky * my
+        return dp, dm, (dp >= 0.0) & (dm >= 0.0)
+
+    def contains(self, kx, ky):
+        """Membership mask; points exactly on an edge count as inside."""
+        with np.errstate(invalid="ignore"):
+            return self._dual_projections(np.asarray(kx, dtype=float),
+                                          np.asarray(ky, dtype=float))[2]
 
 
 @dataclass(frozen=True)
@@ -172,14 +180,6 @@ class GroupElement:
             )
 
 
-def eval_cauchy_1d(omega, order: int = 1):
-    """1D one-sided kernel: omega**order * exp(-omega) for omega >= 0, else 0."""
-    omega = np.asarray(omega, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        val = omega**order * np.exp(-omega)
-    return np.where(omega < 0.0, 0.0, val)
-
-
 def eval_morlet_2d(kx, ky, params: MorletParams, with_correction: bool = False):
     """2D Morlet envelope sqrt(eps) * exp(-0.5 |A^-1 (k - k0)|^2).
 
@@ -207,28 +207,23 @@ def eval_cauchy_2d(kx, ky, cone: ConeSpec, l: int, m: int, eta: tuple[float, flo
     exponential fails to decay along one edge.
     """
     ex, ey = eta
-    px, py = cone.dual_plus
-    mx, my = cone.dual_minus
+    ep, em, _ = cone._dual_projections(ex, ey)
     margin = 1e-12 * math.hypot(ex, ey)
-    if ex * px + ey * py <= margin or ex * mx + ey * my <= margin:
+    if ep <= margin or em <= margin:
         raise ValueError(f"decay vector {eta} must lie strictly inside the cone")
     kx = np.asarray(kx, dtype=float)
     ky = np.asarray(ky, dtype=float)
-    dp = kx * px + ky * py
-    dm = kx * mx + ky * my
     with np.errstate(over="ignore", invalid="ignore"):
+        dp, dm, inside = cone._dual_projections(kx, ky)
         val = dp**l * dm**m * np.exp(-(kx * ex + ky * ey))
-    return np.where(cone.contains(kx, ky), val, 0.0)
+        return np.where(inside, val, 0.0)
 
 
 def _gc_formula(ux, uy, dp, dm, params: GcmParams):
     """dm**l * dp**m times the axial Gaussian, with no cone mask."""
     ax, ay = params.cone.axis_unit
     axial = ux * ax + uy * ay
-    with np.errstate(over="ignore", invalid="ignore"):
-        return dm**params.l * dp**params.m * np.exp(
-            -0.5 * params.sigma * (axial - params.chi) ** 2
-        )
+    return dm**params.l * dp**params.m * np.exp(-0.5 * params.sigma * (axial - params.chi) ** 2)
 
 
 def _gc_profile(ux, uy, params: GcmParams):
@@ -241,18 +236,15 @@ def _gc_profile(ux, uy, params: GcmParams):
     gets the same operations in the same order as a full evaluation, so the
     result is bit-identical to np.where(inside, formula, 0.0) over all
     points.  A single point (scalar or 0-d input) takes that np.where form,
-    which keeps numpy's scalar arithmetic for it.
+    which keeps numpy's scalar arithmetic for it.  One errstate block covers
+    the projections and the formula: this is the hot path of frame bounds.
     """
-    cone = params.cone
-    px, py = cone.dual_plus
-    mx, my = cone.dual_minus
-    dp = ux * px + uy * py
-    dm = ux * mx + uy * my
-    inside = (dp >= 0.0) & (dm >= 0.0)
-    if np.ndim(inside) == 0:
-        return np.where(inside, _gc_formula(ux, uy, dp, dm, params), 0.0)
-    ux, uy = np.broadcast_arrays(ux, uy)
-    val = _gc_formula(ux[inside], uy[inside], dp[inside], dm[inside], params)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dp, dm, inside = params.cone._dual_projections(ux, uy)
+        if np.ndim(inside) == 0:
+            return np.where(inside, _gc_formula(ux, uy, dp, dm, params), 0.0)
+        ux, uy = np.broadcast_arrays(ux, uy)
+        val = _gc_formula(ux[inside], uy[inside], dp[inside], dm[inside], params)
     out = np.zeros(inside.shape, dtype=val.dtype)
     out[inside] = val
     return out
@@ -268,11 +260,17 @@ def eval_gc_2d(kx, ky, params: GcmParams):
     return _gc_profile(np.asarray(kx, dtype=float), np.asarray(ky, dtype=float), params)
 
 
+def _temporal_envelope(omega, params: GcmParams):
+    """Temporal Morlet envelope exp(-0.5 (omega - omega0)**2), the one
+    temporal factor of every GCM evaluator."""
+    return np.exp(-0.5 * (omega - params.omega0) ** 2)
+
+
 def eval_gcm(kx, ky, omega, params: GcmParams):
     """Separable spatio-temporal kernel: GC spatial factor times the
     temporal Morlet envelope exp(-0.5 (omega - omega0)**2)."""
     omega = np.asarray(omega, dtype=float)
-    return eval_gc_2d(kx, ky, params) * np.exp(-0.5 * (omega - params.omega0) ** 2)
+    return eval_gc_2d(kx, ky, params) * _temporal_envelope(omega, params)
 
 
 def _rotate_back(kx, ky, theta: float):
@@ -298,12 +296,16 @@ def tuned_spatial(g: GroupElement, params: GcmParams, kx, ky):
 def tuned_temporal(g: GroupElement, params: GcmParams, omega):
     """Temporal factor exp(-0.5 (a_t * c**(-2/3) * omega - omega0)**2)."""
     omega = np.asarray(omega, dtype=float)
-    arg = g.a_t * g.c ** (-SPEED_EXPONENT_TEMPORAL) * omega - params.omega0
-    return np.exp(-0.5 * arg**2)
+    return _temporal_envelope(g.a_t * g.c ** (-SPEED_EXPONENT_TEMPORAL) * omega, params)
 
 
 def _prefactor(g: GroupElement) -> float:
     return 1.0 / (g.a_s * math.sqrt(g.a_t))
+
+
+def _tuned_magnitude(g: GroupElement, params: GcmParams, kx, ky, omega):
+    """Prefactor times the tuned spatial and temporal factors."""
+    return _prefactor(g) * tuned_spatial(g, params, kx, ky) * tuned_temporal(g, params, omega)
 
 
 def _phase(g: GroupElement, kx, ky, omega):
@@ -320,8 +322,7 @@ def apply_group(g: GroupElement, params: GcmParams, kx, ky, omega):
     a_t * c**(-2/3) * omega.  Zero wherever r^(-theta) k falls outside the
     cone.  Returns a complex array (real-valued when b and tau are zero).
     """
-    mag = _prefactor(g) * tuned_spatial(g, params, kx, ky) * tuned_temporal(g, params, omega)
-    return _phase(g, kx, ky, omega) * mag
+    return _phase(g, kx, ky, omega) * _tuned_magnitude(g, params, kx, ky, omega)
 
 
 def central_wavevector(g: GroupElement, params: GcmParams) -> np.ndarray:
@@ -361,11 +362,7 @@ def eval_centered_gcm(g: GroupElement, params: GcmParams, kx, ky, omega):
     kx = np.asarray(kx, dtype=float)
     ky = np.asarray(ky, dtype=float)
     omega = np.asarray(omega, dtype=float)
-    mag = (
-        _prefactor(g)
-        * tuned_spatial(g, params, kx + k0x, ky + k0y)
-        * tuned_temporal(g, params, omega + w0)
-    )
+    mag = _tuned_magnitude(g, params, kx + k0x, ky + k0y, omega + w0)
     return _phase(g, kx, ky, omega) * mag
 
 
@@ -387,13 +384,3 @@ def arp_conical(cone: ConeSpec) -> float:
     Independent of l, m and sigma."""
     return 2.0 * cone.alpha
 
-
-def arp(obj) -> float:
-    """Angular resolving power of a kernel parameter object."""
-    if isinstance(obj, MorletParams):
-        return arp_morlet(obj)
-    if isinstance(obj, ConeSpec):
-        return arp_conical(obj)
-    if isinstance(obj, GcmParams):
-        return arp_conical(obj.cone)
-    raise TypeError(f"no angular resolving power defined for {type(obj).__name__}")

@@ -9,17 +9,22 @@ It imports conewave from the src/ directory next to this tests/ directory,
 so a copy of the script placed in another checkout digests that checkout.
 The digest covers the bytes of every file the CLI writes, its exit codes
 and stdout for `synth`, `scan`, `scan --refine`, `orient-scan`,
-`aperture-sweep`, `kernel` (gc2d, gcm, centered-gcm), `compare-aperture`
-and `frame-bounds --q1 8` and `--q1 16`, plus the energies, v_m, peak and
-no-motion flag of library `scan_speeds` calls at 256x256x64 and over a
-partial frame range.  The digest of each part goes to stderr, so that a
-mismatch can be traced to its part.  Pytest does not collect this file.
-It runs in well under a minute.
+`aperture-sweep`, `kernel` (gc2d, gcm, centered-gcm, cauchy2d with a
+rotated cone and an off-axis decay vector, morlet2d with the correction),
+`compare-aperture`, `frame-bounds --q1 8` and `--q1 16` and the stub
+tight frame, plus the energies, v_m, peak and no-motion flag of library
+`scan_speeds` calls at 256x256x64 and over a partial frame range, the
+library frame-bound reports and lambda sums for a GCM and for a generic
+callable kernel, and the kernel evaluators on a point set holding signed
+zeros, infinities, NaN, 1e300 and python floats.  The digest of each part
+goes to stderr, so that a mismatch can be traced to its part.  Pytest does
+not collect this file.  It runs in well under a minute.
 """
 
 import contextlib
 import hashlib
 import io
+import math
 import os
 import sys
 import tempfile
@@ -30,6 +35,18 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from conewave import cli  # noqa: E402
+from conewave.frames import Discretization, estimate_bounds, lambda_fn  # noqa: E402
+from conewave.kernels import (  # noqa: E402
+    ConeSpec,
+    GcmParams,
+    GroupElement,
+    apply_group,
+    eval_cauchy_2d,
+    eval_centered_gcm,
+    eval_gc_2d,
+    eval_gcm,
+    tuned_temporal,
+)
 from conewave.speedscan import ScanConfig, scan_speeds  # noqa: E402
 from conewave.stvio import write_stv  # noqa: E402
 from conewave.synth import GaussianSceneSpec, generate  # noqa: E402
@@ -45,6 +62,9 @@ KERNELS = (
     ("gcm", "--grid", "48x40x9", "--theta", "0.7", "--a-s", "2", "--a-t", "1.5", "--c", "3",
      "--bx", "0.5", "--tau", "0.25"),
     ("centered-gcm", "--grid", "40x48x7", "--theta", "-1.1", "--c", "2", "--alpha", "pi/12"),
+    ("cauchy2d", "--grid", "40x36x3", "--alpha", "pi/6", "--theta-axis", "0.4",
+     "--l", "2", "--m", "3", "--eta", "1.0,0.3", "--kmax", "5"),
+    ("morlet2d", "--grid", "32x30x2", "--k0", "3,1", "--epsilon", "2", "--correction"),
 )
 
 
@@ -98,6 +118,55 @@ def cli_outputs(digest):
     for q1 in ("8", "16"):
         run_cli(digest, f"frame-bounds --q1 {q1}",
                 ["frame-bounds", "--q1", q1, "--out", "fb.json"], ["fb.json"])
+    run_cli(digest, "frame-bounds --stub-tight-frame",
+            ["frame-bounds", "--stub-tight-frame", "--grid-size", "16", "--scale-range", "2",
+             "--out", "fb.json"], ["fb.json"])
+
+
+def _value_bytes(value):
+    """Type, dtype, shape and bytes: scalars and 0-d arrays stay apart."""
+    arr = np.asarray(value)
+    return type(value).__name__, arr.dtype.str, arr.shape, arr.tobytes()
+
+
+def frame_outputs(digest):
+    """Frame-bound reports and lambda sums with translation steps 2.0, where
+    the off-grid correction gamma is not negligible."""
+    disc = Discretization(q1=4, scale_range=1, grid_size=8, gamma_stride=2,
+                          b_x0=2.0, b_y0=2.0, tau0=2.0)
+    params = GcmParams(l=3, m=4, sigma=1.5, cone=ConeSpec(alpha=math.pi / 4))
+
+    def generic(kx, ky, w):
+        return eval_gc_2d(kx, ky, params) * np.exp(-0.25 * (w - 2.0) ** 2) * (1.0 + 0.1 * ky)
+
+    kx = np.linspace(-3.0, 5.0, 9)[:, None, None]
+    ky = np.linspace(-2.0, 2.0, 7)[None, :, None]
+    w = np.linspace(0.25, 6.0, 5)[None, None, :]
+    for name, kernel in (("gcm", params), ("generic", generic)):
+        core, tail = lambda_fn(kx, ky, w, disc, kernel, with_tail=True)
+        digest.add(f"lambda_fn {name}", _value_bytes(core), tail,
+                   _value_bytes(lambda_fn(1.5, 0.25, 2.0, disc, kernel)))
+        digest.add(f"estimate_bounds {name}", estimate_bounds(disc, kernel).to_json())
+
+
+def kernel_outputs(digest):
+    """Every GCM evaluator on edge-case coordinates, as arrays and as
+    python floats."""
+    special = (0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, -1e300, 3.5, 0.25)
+    kx = np.array([x for x in special for _ in special])
+    ky = np.array([y for _ in special for y in special])
+    omega = np.resize(np.array(special), kx.size)
+    params = GcmParams(l=3, m=5, sigma=2.0, cone=ConeSpec(alpha=math.pi / 5, theta_axis=0.2))
+    g = GroupElement(bx=0.5, by=-0.25, tau=0.75, theta=0.3, a_s=1.5, a_t=0.75, c=2.0)
+    points = ((kx, ky, omega), (3.5, 0.25, 4.0), (-0.0, 0.0, math.inf), (1e300, 0.0, -0.0))
+    for i, (px, py, pw) in enumerate(points):
+        digest.add(f"kernels at points {i}",
+                   _value_bytes(eval_gcm(px, py, pw, params)),
+                   _value_bytes(apply_group(g, params, px, py, pw)),
+                   _value_bytes(eval_centered_gcm(g, params, px, py, pw)),
+                   _value_bytes(tuned_temporal(g, params, pw)),
+                   _value_bytes(eval_cauchy_2d(px, py, params.cone, 2, 3, (1.0, 0.3))),
+                   _value_bytes(params.cone.contains(px, py)))
 
 
 def library_outputs(digest):
@@ -125,6 +194,9 @@ def main():
         finally:
             os.chdir(cwd)
     library_outputs(digest)
+    frame_outputs(digest)
+    with np.errstate(all="ignore"):  # inf - inf and overflow are part of the point set
+        kernel_outputs(digest)
     print(digest.total.hexdigest())
 
 

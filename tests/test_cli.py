@@ -300,6 +300,15 @@ def test_kernel_bad_grid_extent_exits_2_and_writes_nothing(tmp_path, flag, value
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("kind", ["gc2d", "gcm"])
+@pytest.mark.parametrize("grid", ["0x4x1", "4x0x3", "4x4x0", "4x4x-2"])
+def test_kernel_grid_size_below_1_exits_2_and_writes_nothing(tmp_path, capsys, kind, grid):
+    code = run("kernel", "--type", kind, "--grid", grid, "--out", str(tmp_path / "k"))
+    assert code == 2
+    assert "--grid" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # frame bounds
 
@@ -399,4 +408,12 @@ def test_compare_aperture_bad_kmax_exits_2_and_writes_nothing(tmp_path, value):
     code = run("compare-aperture", "--grid-n", "9", f"--kmax={value}",
                "--out", str(tmp_path / "x.csv"))
     assert code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_compare_aperture_grid_n_below_1_exits_2_and_writes_nothing(tmp_path, capsys, value):
+    code = run("compare-aperture", f"--grid-n={value}", "--out", str(tmp_path / "x.csv"))
+    assert code == 2
+    assert "--grid-n" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []

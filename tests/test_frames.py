@@ -8,7 +8,6 @@ import pytest
 from conewave.frames import (
     Discretization,
     estimate_bounds,
-    gcm_response,
     lambda_fn,
     tight_frame_stub,
 )
@@ -159,16 +158,14 @@ def test_report_json_round_trip():
     assert payload["valid_frame"] == rep.valid_frame
 
 
-def test_resolve_kernel_rejects_junk():
-    with pytest.raises(TypeError):
-        lambda_fn(1.0, 0.0, 1.0, small_disc(), "gcm")
-
-
-def test_gcm_response_matches_eval_gcm():
-    params = GcmParams()
-    k = gcm_response(params)
-    kx = np.linspace(-5, 5, 7)
-    assert np.allclose(k(kx, 0.1, 3.0), eval_gcm(kx, 0.1, 3.0, params), rtol=1e-14)
+@pytest.mark.parametrize("estimate", [
+    lambda kernel: lambda_fn(1.0, 0.0, 1.0, small_disc(), kernel),
+    lambda kernel: estimate_bounds(small_disc(), kernel),
+], ids=["lambda_fn", "estimate_bounds"])
+@pytest.mark.parametrize("junk", ["gcm", None, 1.0], ids=["str", "none", "float"])
+def test_kernel_neither_gcm_nor_callable_is_a_type_error(estimate, junk):
+    with pytest.raises(TypeError, match="GcmParams or a callable"):
+        estimate(junk)
 
 
 @pytest.mark.parametrize("field, value", [

@@ -1,6 +1,7 @@
 """Kernel evaluations against closed-form values and grid-search oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,11 +15,9 @@ from conewave.kernels import (
     SPEED_EXPONENT_TEMPORAL,
     _gc_profile,
     apply_group,
-    arp,
     arp_conical,
     arp_morlet,
     central_wavevector,
-    eval_cauchy_1d,
     eval_cauchy_2d,
     eval_centered_gcm,
     eval_gc_2d,
@@ -99,23 +98,6 @@ def test_speed_exponents():
     assert SPEED_EXPONENT_TEMPORAL == pytest.approx(2.0 / 3.0)
     assert SPEED_EXPONENT_SPATIAL == pytest.approx(1.0 / 3.0)
     assert SPEED_EXPONENT_TEMPORAL + SPEED_EXPONENT_SPATIAL == pytest.approx(1.0)
-
-
-# ---------------------------------------------------------------------------
-# 1D Cauchy
-
-
-def test_cauchy_1d_examples():
-    assert eval_cauchy_1d(-1.0, 3) == 0.0
-    assert eval_cauchy_1d(0.0, 1) == 0.0
-    assert eval_cauchy_1d(1.0, 1) == pytest.approx(math.exp(-1.0), rel=1e-12)
-
-
-def test_cauchy_1d_vectorized_support():
-    w = np.linspace(-5, 5, 101)
-    v = eval_cauchy_1d(w, 2)
-    assert np.all(v[w < 0] == 0.0)
-    assert np.all(v[w > 0] > 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -416,14 +398,6 @@ def test_arp_values():
     )
 
 
-def test_arp_dispatch():
-    assert arp(MorletParams((6.0, 0.0), 1.0)) == arp_morlet(MorletParams((6.0, 0.0), 1.0))
-    assert arp(ConeSpec(alpha=0.2)) == 0.4
-    assert arp(default_params()) == pytest.approx(math.pi / 8)
-    with pytest.raises(TypeError):
-        arp("morlet")
-
-
 def test_arp_morlet_strictly_decreasing():
     products = [(6.0, 1.0), (6.0, 2.0), (12.0, 2.0), (22.0, 8.0)]
     arps = [arp_morlet(MorletParams((k0, 0.0), eps)) for k0, eps in products]
@@ -432,8 +406,8 @@ def test_arp_morlet_strictly_decreasing():
 
 
 def test_arp_conical_ignores_radial_shape():
-    a = arp(default_params(l=2, m=2, sigma=0.5))
-    b = arp(default_params(l=10, m=10, sigma=4.0))
+    a = arp_conical(default_params(l=2, m=2, sigma=0.5).cone)
+    b = arp_conical(default_params(l=10, m=10, sigma=4.0).cone)
     assert a == b
 
 
@@ -540,6 +514,24 @@ def test_cone_only_profile_is_bit_identical_to_the_plain_formula(alpha, l, m, si
             _assert_same_bytes(_gc_profile(ux, uy, p), _plain_gc(ux, uy, p))
             want = _plain_gc(np.asarray(ux, dtype=float), np.asarray(uy, dtype=float), p)
             _assert_same_bytes(eval_gc_2d(ux, uy, p), want)
+
+
+@pytest.mark.parametrize("axis", [0.0, 0.3, -2.0])
+def test_infinite_coordinates_warn_nothing(axis):
+    # inf - inf in an edge projection is NaN, which reads as outside the
+    # cone; computing it must not emit "invalid value encountered".
+    p = default_params(cone=ConeSpec(alpha=math.pi / 16, theta_axis=axis))
+    inf = math.inf
+    kx = np.array([inf, -inf, inf, -inf, math.nan])
+    ky = np.array([-inf, inf, inf, -inf, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gc = eval_gc_2d(kx, ky, p)
+        cauchy = eval_cauchy_2d(kx, ky, p.cone, 3, 5, p.cone.axis_unit)
+        inside = p.cone.contains(kx, ky)
+    # None of these directions lies in the cone at these axes.
+    assert not inside.any()
+    assert np.all(gc == 0.0) and np.all(cauchy == 0.0)
 
 
 def _directional_difference(p, edge_angle, order, h):
