@@ -150,6 +150,9 @@ class MorletParams:
     epsilon: float = 1.0
 
     def __post_init__(self):
+        _require_finite(self, "epsilon")
+        if not all(math.isfinite(v) for v in self.k0):
+            raise ValueError(f"k0 components must be finite, got {self.k0}")
         if self.epsilon < 1.0:
             raise ValueError(f"epsilon must be >= 1, got {self.epsilon}")
 
@@ -209,7 +212,7 @@ def eval_cauchy_2d(kx, ky, cone: ConeSpec, l: int, m: int, eta: tuple[float, flo
     ex, ey = eta
     ep, em, _ = cone._dual_projections(ex, ey)
     margin = 1e-12 * math.hypot(ex, ey)
-    if ep <= margin or em <= margin:
+    if not (ep > margin and em > margin):  # NaN fails both
         raise ValueError(f"decay vector {eta} must lie strictly inside the cone")
     kx = np.asarray(kx, dtype=float)
     ky = np.asarray(ky, dtype=float)
@@ -235,15 +238,12 @@ def _gc_profile(ux, uy, params: GcmParams):
     only at the points inside and scattered into zeros.  Every kept point
     gets the same operations in the same order as a full evaluation, so the
     result is bit-identical to np.where(inside, formula, 0.0) over all
-    points.  A single point (scalar or 0-d input) takes that np.where form,
-    which keeps numpy's scalar arithmetic for it.  One errstate block covers
-    the projections and the formula: this is the hot path of frame bounds.
+    points.  One errstate block covers the projections and the formula:
+    this is the hot path of frame bounds.
     """
+    ux, uy = np.broadcast_arrays(ux, uy)
     with np.errstate(over="ignore", invalid="ignore"):
         dp, dm, inside = params.cone._dual_projections(ux, uy)
-        if np.ndim(inside) == 0:
-            return np.where(inside, _gc_formula(ux, uy, dp, dm, params), 0.0)
-        ux, uy = np.broadcast_arrays(ux, uy)
         val = _gc_formula(ux[inside], uy[inside], dp[inside], dm[inside], params)
     out = np.zeros(inside.shape, dtype=val.dtype)
     out[inside] = val
@@ -340,25 +340,18 @@ def central_wavevector(g: GroupElement, params: GcmParams) -> np.ndarray:
     return np.array([mag * math.cos(angle), mag * math.sin(angle)])
 
 
-def centered_shift(g: GroupElement, params: GcmParams) -> tuple[float, float, float]:
-    """Frequency shift (k0x, k0y, w0) that moves the tuned kernel's
-    passband toward the origin; w0 is the tuned temporal center
-    omega0 * c**(2/3) / a_t."""
-    k0 = central_wavevector(g, params)
-    w0 = params.omega0 * g.c**SPEED_EXPONENT_TEMPORAL / g.a_t
-    return (float(k0[0]), float(k0[1]), w0)
-
-
 def eval_centered_gcm(g: GroupElement, params: GcmParams, kx, ky, omega):
     """Low-pass version of the tuned kernel.
 
     The tuned kernel translated by its own central frequency: the value at
-    (k, omega) equals the apply_group value at (k + k0, omega + w0), so the
-    magnitude peaks near the frequency origin and the support cone apex
-    moves to -k0.  The translation phase, when b or tau is nonzero, is
-    carried at the unshifted coordinates.
+    (k, omega) equals the apply_group value at (k + k0, omega + w0), where
+    k0 is central_wavevector and w0 = omega0 * c**(2/3) / a_t the tuned
+    temporal center, so the magnitude peaks near the frequency origin and
+    the support cone apex moves to -k0.  The translation phase, when b or
+    tau is nonzero, is carried at the unshifted coordinates.
     """
-    k0x, k0y, w0 = centered_shift(g, params)
+    k0x, k0y = central_wavevector(g, params)
+    w0 = params.omega0 * g.c**SPEED_EXPONENT_TEMPORAL / g.a_t
     kx = np.asarray(kx, dtype=float)
     ky = np.asarray(ky, dtype=float)
     omega = np.asarray(omega, dtype=float)

@@ -42,7 +42,6 @@ from .kernels import (
     SPEED_EXPONENT_SPATIAL,
     SPEED_EXPONENT_TEMPORAL,
     _prefactor,
-    centered_shift,
     tuned_spatial,
     tuned_temporal,
 )
@@ -66,7 +65,7 @@ class SequenceVolume:
 
     Data is promoted to float64 in memory regardless of the on-disk dtype.
     pixel_pitch and frame_pitch carry the nominal sample spacings (default
-    1 pixel and 1 frame).
+    1 pixel and 1 frame); both must be finite and positive.
     """
 
     data: np.ndarray
@@ -81,6 +80,10 @@ class SequenceVolume:
             raise ValueError(f"all grid sizes must be >= 2, got {self.data.shape}")
         if not np.all(np.isfinite(self.data)):
             raise ValueError("sequence contains non-finite samples")
+        for name in ("pixel_pitch", "frame_pitch"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value}")
 
     @property
     def nx(self) -> int:
@@ -191,19 +194,14 @@ def _alias_range(cutoff: float, period: float) -> range:
 
 
 def tuned_filter_factors(
-    spec: SpectrumVolume,
-    g: GroupElement,
-    params: GcmParams,
-    centered: bool = False,
+    spec: SpectrumVolume, g: GroupElement, params: GcmParams
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sample the tuned kernel on the DFT grid as separable factors.
 
-    Returns (S, T) where S is the (nx, ny) spatial response including the
-    group prefactor and T the (nt,) temporal response, both periodized over
-    the frequency lattice and sampled with the engine's temporal
-    orientation.  The full filter volume is S[:, :, None] * T.
-
-    Translations must be zero; they are realized by the inverse FFT.
+    Returns (S, T): the (nx, ny) spatial response with the group prefactor
+    and the (nt,) temporal response, both periodized and sampled with the
+    engine's temporal orientation.  Translations must be zero; the inverse
+    FFT supplies them.
     """
     if g.bx != 0.0 or g.by != 0.0 or g.tau != 0.0:
         raise ValueError("translation parameters must be zero; the inverse FFT supplies them")
@@ -211,41 +209,20 @@ def tuned_filter_factors(
     kx, ky, w = spec.kx(), spec.ky(), spec.omega()
     k_period = 2 * np.pi / spec.pixel_pitch
     w_period = 2 * np.pi / spec.frame_pitch
-
-    if centered:
-        k0x, k0y, w0 = centered_shift(g, params)
-    else:
-        k0x = k0y = w0 = 0.0
-
-    s_scale = g.a_s * g.c**SPEED_EXPONENT_SPATIAL
-    k_cut = _radial_cutoff(params) / s_scale + math.hypot(k0x, k0y)
-    t_cut = _temporal_cutoff(params) * g.c**SPEED_EXPONENT_TEMPORAL / g.a_t + abs(w0)
+    k_cut = _radial_cutoff(params) / (g.a_s * g.c**SPEED_EXPONENT_SPATIAL)
+    t_cut = _temporal_cutoff(params) * g.c**SPEED_EXPONENT_TEMPORAL / g.a_t
 
     S = np.zeros((spec.nx, spec.ny))
     for jx in _alias_range(k_cut, k_period):
         for jy in _alias_range(k_cut, k_period):
-            S += tuned_spatial(
-                g,
-                params,
-                (kx + jx * k_period + k0x)[:, None],
-                (ky + jy * k_period + k0y)[None, :],
-            )
+            S += tuned_spatial(g, params, (kx + jx * k_period)[:, None],
+                               (ky + jy * k_period)[None, :])
     S *= _prefactor(g)
 
     T = np.zeros(spec.nt)
     for jt in _alias_range(t_cut, w_period):
-        T += tuned_temporal(g, params, -(w + jt * w_period) + w0)
+        T += tuned_temporal(g, params, -(w + jt * w_period))
     return S, T
-
-
-def spatial_nyquist_leakage(S: np.ndarray) -> float:
-    """Largest spatial response magnitude on the Nyquist shell relative to
-    the peak response (diagnostic for grid-resolution adequacy)."""
-    peak = float(np.abs(S).max())
-    if peak == 0.0:
-        return 0.0
-    shell = max(np.abs(S[S.shape[0] // 2, :]).max(), np.abs(S[:, S.shape[1] // 2]).max())
-    return float(shell) / peak
 
 
 def apply_spectral_filter(spec: SpectrumVolume, response: np.ndarray) -> np.ndarray:
@@ -255,17 +232,14 @@ def apply_spectral_filter(spec: SpectrumVolume, response: np.ndarray) -> np.ndar
 
 
 def apply_tuned_filter(
-    spec: SpectrumVolume,
-    g: GroupElement,
-    params: GcmParams,
-    centered: bool = False,
+    spec: SpectrumVolume, g: GroupElement, params: GcmParams
 ) -> WaveletCoefficients:
     """Coefficient volume W(b, tau) for one tuning.
 
     The sampled response is real-valued (translations are excluded), so the
     conjugation required by the analysis inner product is a no-op.
     """
-    S, T = tuned_filter_factors(spec, g, params, centered)
+    S, T = tuned_filter_factors(spec, g, params)
     return WaveletCoefficients(apply_spectral_filter(spec, S[:, :, None] * T), g)
 
 
@@ -292,7 +266,6 @@ def tuned_energy_detail(
     params: GcmParams,
     frame_range=None,
     method: str = "auto",
-    centered: bool = False,
     *,
     power: np.ndarray | None = None,
 ) -> tuple[float, float]:
@@ -314,7 +287,7 @@ def tuned_energy_detail(
         raise ValueError(f"unknown energy method {method!r}")
     if method == "parseval" and not all_frames:
         raise ValueError("the Parseval shortcut requires the full frame range")
-    S, T = tuned_filter_factors(spec, g, params, centered)
+    S, T = tuned_filter_factors(spec, g, params)
     gain = float(np.max(S**2)) * float(np.max(T**2))
     if method == "parseval":
         if power is None:
@@ -333,7 +306,6 @@ def tuned_energy(
     params: GcmParams,
     frame_range=None,
     method: str = "auto",
-    centered: bool = False,
     *,
     power: np.ndarray | None = None,
 ) -> float:
@@ -345,4 +317,4 @@ def tuned_energy(
     agree to within round-off and are cross-checked in the tests.  power is
     the shared power spectrum of tuned_energy_detail.
     """
-    return tuned_energy_detail(spec, g, params, frame_range, method, centered, power=power)[0]
+    return tuned_energy_detail(spec, g, params, frame_range, method, power=power)[0]

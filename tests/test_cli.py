@@ -300,6 +300,18 @@ def test_kernel_bad_grid_extent_exits_2_and_writes_nothing(tmp_path, flag, value
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("flags", [
+    ("--type", "morlet2d", "--epsilon", "nan"),
+    ("--type", "morlet2d", "--epsilon", "inf"),
+    ("--type", "morlet2d", "--k0", "nan,0"),
+    ("--type", "cauchy2d", "--eta", "nan,0"),
+])
+def test_kernel_non_finite_parameter_exits_2_and_writes_nothing(tmp_path, flags):
+    code = run("kernel", *flags, "--grid", "4x4x1", "--out", str(tmp_path / "k"))
+    assert code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("kind", ["gc2d", "gcm"])
 @pytest.mark.parametrize("grid", ["0x4x1", "4x0x3", "4x4x0", "4x4x-2"])
 def test_kernel_grid_size_below_1_exits_2_and_writes_nothing(tmp_path, capsys, kind, grid):
@@ -416,4 +428,11 @@ def test_compare_aperture_grid_n_below_1_exits_2_and_writes_nothing(tmp_path, ca
     code = run("compare-aperture", f"--grid-n={value}", "--out", str(tmp_path / "x.csv"))
     assert code == 2
     assert "--grid-n" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flags", [("--morlet-eps", "nan,2,8"), ("--morlet-k0", "inf,12,22")])
+def test_compare_aperture_non_finite_morlet_exits_2_and_writes_nothing(tmp_path, flags):
+    code = run("compare-aperture", *flags, "--out", str(tmp_path / "x.csv"))
+    assert code == 2
     assert list(tmp_path.iterdir()) == []

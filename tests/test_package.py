@@ -1,12 +1,15 @@
-"""Package surface: the public names, and no import left unused."""
+"""Package surface: the public names, the names the benchmark tracer wraps,
+and no import left unused."""
 
 import ast
+import importlib.util
 import types
 from pathlib import Path
 
 import conewave
 
 SOURCE = Path(conewave.__file__).resolve().parent
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
 def test_all_lists_exactly_the_public_names():
@@ -19,6 +22,18 @@ def test_all_lists_exactly_the_public_names():
     for gone in ("eval_cauchy_1d", "arp", "WaveletCoefficients"):
         assert gone not in conewave.__all__
         assert not hasattr(conewave, gone)
+
+
+def test_every_name_the_benchmark_tracer_wraps_is_callable():
+    # The tracer records a missing name as absent and reports its metrics
+    # as zero, so a renamed helper would go unnoticed there.
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.WRAPS
+    missing = [(module, name) for module, name, *_ in tracer.WRAPS
+               if not callable(getattr(importlib.import_module(module), name, None))]
+    assert missing == []
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
