@@ -10,7 +10,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import asdict, fields
+from dataclasses import MISSING, asdict, fields
 
 import numpy as np
 
@@ -88,58 +88,57 @@ def parse_pair(text: str) -> tuple[float, float]:
     return float(parts[0]), float(parts[1])
 
 
+def _defaults(*classes) -> dict:
+    """Every field default of classes, by field name; a field whose default
+    is a dataclass (the cone of GcmParams) contributes that one's fields.
+    Field defaults, not instance values: GcmParams() resolves omega0."""
+    values = {}
+    for cls in classes:
+        for f in fields(cls):
+            if f.default_factory is not MISSING:
+                values.update(asdict(f.default_factory()))
+            elif f.default is not MISSING:
+                values[f.name] = f.default
+    return values
+
+
+def _from_args(cls, args, **values):
+    """cls from every parsed flag named like one of its fields; values win."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)
+                  if hasattr(args, f.name)} | values)
+
+
 def _add_kernel_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--l", type=int, default=10)
-    p.add_argument("--m", type=int, default=10)
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--omega0", type=float, default=None)
-    p.add_argument("--alpha", type=parse_angle, default=math.pi / 16)
+    p.add_argument("--l", type=int)
+    p.add_argument("--m", type=int)
+    p.add_argument("--sigma", type=float)
+    p.add_argument("--omega0", type=float)
+    p.add_argument("--alpha", type=parse_angle)
 
 
 def _add_scan_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--c-min", type=float, default=1.0)
-    p.add_argument("--c-max", type=float, default=6.0)
-    p.add_argument("--c-step", type=float, default=0.25)
-    p.add_argument("--theta", type=parse_angle, default=0.0)
-    p.add_argument("--a-s", type=float, default=3.0)
-    p.add_argument("--a-t", type=float, default=3.0)
-    p.add_argument("--refine", action="store_true")
-    p.add_argument("--refine-tol", type=float, default=1e-3)
+    p.add_argument("--c-min", type=float)
+    p.add_argument("--c-max", type=float)
+    p.add_argument("--c-step", type=float)
+    p.add_argument("--theta", type=parse_angle)
+    p.add_argument("--a-s", type=float)
+    p.add_argument("--a-t", type=float)
+    p.add_argument("--refine", action="store_const", const="golden-section")
+    p.add_argument("--refine-tol", type=float)
     _add_kernel_flags(p)
     p.add_argument("--out", required=True)
-
-
-def _scan_config(args) -> speedscan.ScanConfig:
-    """ScanConfig from every parsed flag named like one of its fields."""
-    values = {f.name: getattr(args, f.name) for f in fields(speedscan.ScanConfig)
-              if hasattr(args, f.name)}
-    values["refine"] = "golden-section" if args.refine else "none"
-    return speedscan.ScanConfig(**values)
+    p.set_defaults(**_defaults(speedscan.ScanConfig))
 
 
 def cmd_synth(args) -> int:
-    nx, ny, nt = args.size
-    spec = synth.GaussianSceneSpec(
-        nx=nx,
-        ny=ny,
-        nt=nt,
-        sigma_x=args.sigma_x,
-        sigma_y=args.sigma_y,
-        pattern_angle=args.pattern_angle,
-        v_r=args.speed,
-        motion_angle=args.motion_angle,
-        start=args.start,
-        amplitude=args.amplitude,
-        noise_sigma=args.noise,
-        seed=args.seed,
-        wrap=not args.no_wrap,
-    )
+    size = dict(zip(("nx", "ny", "nt"), args.size or ()))
+    spec = _from_args(synth.GaussianSceneSpec, args, **size)
     seq = synth.generate(spec)
     sidecar = {"scene": asdict(spec), "format": "STV1", "dtype": args.dtype}
     stvio.write_stv(args.out, seq, dtype=args.dtype, sidecar=sidecar)
     print(
-        f"wrote {args.out}: {nx}x{ny}x{nt} {args.dtype}, "
+        f"wrote {args.out}: {spec.nx}x{spec.ny}x{spec.nt} {args.dtype}, "
         f"v_r={spec.v_r} at {spec.motion_angle} rad, noise={spec.noise_sigma}"
     )
     return EXIT_OK
@@ -147,7 +146,7 @@ def cmd_synth(args) -> int:
 
 def cmd_scan(args) -> int:
     seq = stvio.read_stv(args.infile)
-    curve = speedscan.scan_speeds(seq, _scan_config(args))
+    curve = speedscan.scan_speeds(seq, _from_args(speedscan.ScanConfig, args))
     footers = [f"# v_m={curve.v_m!r}"]
     if curve.no_motion:
         footers.append("# no_detectable_motion=1")
@@ -163,7 +162,7 @@ def cmd_orient_scan(args) -> int:
         raise ValueError("need finite theta-min <= theta-max and a finite positive theta-step")
     count = int(math.floor((args.theta_max - args.theta_min) / args.theta_step + 1e-9)) + 1
     thetas = [args.theta_min + i * args.theta_step for i in range(count)]
-    rows = speedscan.scan_orientations(seq, _scan_config(args), thetas)
+    rows = speedscan.scan_orientations(seq, _from_args(speedscan.ScanConfig, args), thetas)
     stvio.write_csv(args.out, "theta,v_m,peak_energy", rows)
     best = max(rows, key=lambda r: r[2])
     print(f"wrote {args.out}: best orientation {best[0]!r} with v_m={best[1]}")
@@ -174,7 +173,8 @@ def cmd_aperture_sweep(args) -> int:
     seq = stvio.read_stv(args.infile)
     if not args.alpha_list:
         raise ValueError("aperture list must not be empty")
-    rows = speedscan.aperture_sweep(seq, _scan_config(args), args.alpha_list)
+    rows = speedscan.aperture_sweep(seq, _from_args(speedscan.ScanConfig, args),
+                                   args.alpha_list)
     stvio.write_csv(args.out, "alpha,v_m,peak_energy", rows)
     print(f"wrote {args.out}: {len(rows)} apertures")
     return EXIT_OK
@@ -187,9 +187,8 @@ def _require_extents(**extents) -> None:
             raise ValueError(f"--{name} must be finite and positive, got {value}")
 
 
-def _gcm_params(args, theta_axis: float = 0.0) -> GcmParams:
-    return GcmParams(l=args.l, m=args.m, sigma=args.sigma, omega0=args.omega0,
-                     cone=ConeSpec(alpha=args.alpha, theta_axis=theta_axis))
+def _gcm_params(args) -> GcmParams:
+    return _from_args(GcmParams, args, cone=_from_args(ConeSpec, args))
 
 
 def _kernel_grid(args):
@@ -208,11 +207,8 @@ def cmd_kernel(args) -> int:
     KX = kx[:, None, None]
     KY = ky[None, :, None]
     W = w[None, None, :]
-    params = _gcm_params(args, args.theta_axis)
-    g = GroupElement(
-        bx=args.bx, by=args.by, tau=args.tau,
-        theta=args.theta, a_s=args.a_s, a_t=args.a_t, c=args.c,
-    )
+    params = _gcm_params(args)
+    g = _from_args(GroupElement, args)
     if args.type == "gcm":
         values = apply_group(g, params, KX, KY, W)
     elif args.type == "centered-gcm":
@@ -220,7 +216,7 @@ def cmd_kernel(args) -> int:
     elif args.type == "gc2d":
         values = eval_gc_2d(KX, KY, params)
     elif args.type == "morlet2d":
-        morlet = MorletParams(k0=args.k0, epsilon=args.epsilon)
+        morlet = _from_args(MorletParams, args)
         values = eval_morlet_2d(KX, KY, morlet, with_correction=args.correction)
     elif args.type == "cauchy2d":
         values = eval_cauchy_2d(KX, KY, params.cone, args.l, args.m, args.eta)
@@ -250,18 +246,7 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_frame_bounds(args) -> int:
-    disc = frames.Discretization(
-        a0=args.a0,
-        c0=args.c0,
-        q1=args.q1,
-        scale_range=args.scale_range,
-        b_x0=args.bx0,
-        b_y0=args.by0,
-        tau0=args.tau0,
-        grid_size=args.grid_size,
-        gamma_range=args.gamma_range,
-        gamma_stride=args.gamma_stride,
-    )
+    disc = _from_args(frames.Discretization, args)
     if args.stub_tight_frame:
         kernel = frames.tight_frame_stub(disc)
     else:
@@ -296,8 +281,7 @@ def cmd_compare_aperture(args) -> int:
         mag = np.abs(eval_morlet_2d(KX, KY, morlet))
         rows.append(("morlet", k0, eps, "", arp_morlet(morlet), _radial_center(mag, kx, ky)))
     for alpha in args.gcm_alpha:
-        params = GcmParams(l=args.l, m=args.m, sigma=args.sigma,
-                           cone=ConeSpec(alpha=alpha))
+        params = _from_args(GcmParams, args, cone=ConeSpec(alpha=alpha))
         mag = np.abs(eval_gc_2d(KX, KY, params))
         rows.append(("gcm", "", "", alpha, arp_conical(params.cone),
                      _radial_center(mag, kx, ky)))
@@ -314,20 +298,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a travelling-Gaussian sequence")
-    p.add_argument("--size", type=parse_size, default=(64, 64, 16))
-    p.add_argument("--speed", type=float, default=3.0)
-    p.add_argument("--motion-angle", type=parse_angle, default=0.0)
-    p.add_argument("--sigma-x", type=float, default=1.0)
-    p.add_argument("--sigma-y", type=float, default=8.0)
-    p.add_argument("--pattern-angle", type=parse_angle, default=0.0)
-    p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--amplitude", type=float, default=1.0)
-    p.add_argument("--start", type=parse_pair, default=None)
-    p.add_argument("--no-wrap", action="store_true")
+    p.add_argument("--size", type=parse_size)
+    p.add_argument("--speed", dest="v_r", type=float)
+    p.add_argument("--motion-angle", type=parse_angle)
+    p.add_argument("--sigma-x", type=float)
+    p.add_argument("--sigma-y", type=float)
+    p.add_argument("--pattern-angle", type=parse_angle)
+    p.add_argument("--noise", dest="noise_sigma", type=float)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--amplitude", type=float)
+    p.add_argument("--start", type=parse_pair)
+    p.add_argument("--no-wrap", dest="wrap", action="store_false")
     p.add_argument("--dtype", choices=["float32", "float64"], default="float32")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_synth)
+    p.set_defaults(func=cmd_synth, **_defaults(synth.GaussianSceneSpec))
 
     p = sub.add_parser("scan", help="energy curve over speed tunings")
     _add_scan_flags(p)
@@ -353,50 +337,50 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmax", type=float, default=8.0)
     p.add_argument("--wmax", type=float, default=8.0)
     _add_kernel_flags(p)
-    p.add_argument("--theta-axis", type=parse_angle, default=0.0)
-    p.add_argument("--theta", type=parse_angle, default=0.0)
-    p.add_argument("--a-s", type=float, default=1.0)
-    p.add_argument("--a-t", type=float, default=1.0)
-    p.add_argument("--c", type=float, default=1.0)
-    p.add_argument("--bx", type=float, default=0.0)
-    p.add_argument("--by", type=float, default=0.0)
-    p.add_argument("--tau", type=float, default=0.0)
-    p.add_argument("--k0", type=parse_pair, default=(6.0, 0.0))
-    p.add_argument("--epsilon", type=float, default=1.0)
+    p.add_argument("--theta-axis", type=parse_angle)
+    p.add_argument("--theta", type=parse_angle)
+    p.add_argument("--a-s", type=float)
+    p.add_argument("--a-t", type=float)
+    p.add_argument("--c", type=float)
+    p.add_argument("--bx", type=float)
+    p.add_argument("--by", type=float)
+    p.add_argument("--tau", type=float)
+    p.add_argument("--k0", type=parse_pair)
+    p.add_argument("--epsilon", type=float)
     p.add_argument("--correction", action="store_true")
     p.add_argument("--eta", type=parse_pair, default=(1.0, 0.0))
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_kernel)
+    p.set_defaults(func=cmd_kernel, **_defaults(GcmParams, GroupElement, MorletParams))
 
     p = sub.add_parser("frame-bounds", help="estimate frame bounds for a family")
-    p.add_argument("--a0", type=float, default=2.0)
-    p.add_argument("--c0", type=float, default=2.0)
-    p.add_argument("--q1", type=int, default=8)
-    p.add_argument("--bx0", type=float, default=0.004)
-    p.add_argument("--by0", type=float, default=0.004)
-    p.add_argument("--tau0", type=float, default=0.001)
-    p.add_argument("--scale-range", type=int, default=4)
-    p.add_argument("--grid-size", type=int, default=64)
-    p.add_argument("--gamma-range", type=int, default=1)
-    p.add_argument("--gamma-stride", type=int, default=4)
+    p.add_argument("--a0", type=float)
+    p.add_argument("--c0", type=float)
+    p.add_argument("--q1", type=int)
+    p.add_argument("--bx0", dest="b_x0", type=float)
+    p.add_argument("--by0", dest="b_y0", type=float)
+    p.add_argument("--tau0", type=float)
+    p.add_argument("--scale-range", type=int)
+    p.add_argument("--grid-size", type=int)
+    p.add_argument("--gamma-range", type=int)
+    p.add_argument("--gamma-stride", type=int)
     p.add_argument("--stub-tight-frame", action="store_true",
                    help="swap in the constructed tight-frame kernel (verification)")
     _add_kernel_flags(p)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_frame_bounds)
+    p.set_defaults(func=cmd_frame_bounds, **_defaults(frames.Discretization, GcmParams))
 
     p = sub.add_parser("compare-aperture", help="radial stability across apertures")
     p.add_argument("--morlet-k0", type=parse_float_list, default=[6.0, 12.0, 22.0])
     p.add_argument("--morlet-eps", type=parse_float_list, default=[1.0, 2.0, 8.0])
     p.add_argument("--gcm-alpha", type=parse_angle_list,
                    default=[math.pi / 256, math.pi / 64, math.pi / 16])
-    p.add_argument("--l", type=int, default=10)
-    p.add_argument("--m", type=int, default=10)
-    p.add_argument("--sigma", type=float, default=1.0)
+    p.add_argument("--l", type=int)
+    p.add_argument("--m", type=int)
+    p.add_argument("--sigma", type=float)
     p.add_argument("--grid-n", type=int, default=513)
     p.add_argument("--kmax", type=float, default=32.0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_compare_aperture)
+    p.set_defaults(func=cmd_compare_aperture, **_defaults(GcmParams))
 
     return parser
 

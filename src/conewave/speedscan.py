@@ -94,6 +94,8 @@ class ScanConfig:
             raise ValueError(f"unknown refinement {self.refine!r}")
         if not self.refine_tol > 0:
             raise ValueError("refine_tol must be positive")
+        self.params()  # the kernel and tuning types check their own fields
+        self.tuning(self.c_min)
 
     def speed_grid(self) -> np.ndarray:
         n = int(math.floor((self.c_max - self.c_min) / self.c_step + 1e-9)) + 1
@@ -132,17 +134,14 @@ class EnergyCurve:
         return [(float(c), float(e)) for c, e in zip(self.c_values, self.energies)]
 
 
-def _scan_spectrum(
-    spectrum: SpectrumVolume, config: ScanConfig, power: np.ndarray | None, energy: float
-) -> EnergyCurve:
+def _scan_spectrum(spectrum: SpectrumVolume, config: ScanConfig, energy: float) -> EnergyCurve:
     """Speed scan of one spectrum: the grid energies, the dust floor and
-    no-motion test, and the optional golden-section refinement.  power and
-    energy are the spectrum's, formed once by _scans."""
+    no-motion test, and the optional golden-section refinement.  energy is
+    the spectrum's, formed once by _scans."""
     params = config.params()
     cs = config.speed_grid()
     energies, gains = np.array([
-        tuned_energy_detail(spectrum, config.tuning(float(c)), params, config.frame_range,
-                            power=power)
+        tuned_energy_detail(spectrum, config.tuning(float(c)), params, config.frame_range)
         for c in cs
     ]).T
 
@@ -161,7 +160,7 @@ def _scan_spectrum(
 
         def objective(c):
             return tuned_energy(spectrum, config.tuning(c), params,
-                                frame_range=config.frame_range, power=power)
+                                frame_range=config.frame_range)
 
         x, fx = golden_section_maximize(objective, lo, hi, config.refine_tol)
         if fx >= peak:
@@ -172,17 +171,13 @@ def _scan_spectrum(
 def _scans(seq: SequenceVolume, configs) -> list[EnergyCurve]:
     """One speed scan per config, all on one shared spectrum of seq.
 
-    The power spectrum and the total energy depend on the spectrum alone, so
-    they are formed here once for every tuning of every scan, and dropped on
-    return.  Scans with a frame_range get no shared power: a partial range
-    takes the inverse path, which does not read it.
+    The total energy is formed here once for every tuning of every scan; the
+    spectrum forms its power on the first Parseval read.  Both are dropped on
+    return.
     """
     spectrum = forward_fft3(seq)
     energy = spectrum.energy()
-    power = None
-    if all(config.frame_range is None for config in configs):
-        power = spectrum.data.real**2 + spectrum.data.imag**2
-    return [_scan_spectrum(spectrum, config, power, energy) for config in configs]
+    return [_scan_spectrum(spectrum, config, energy) for config in configs]
 
 
 def scan_speeds(seq: SequenceVolume, config: ScanConfig) -> EnergyCurve:

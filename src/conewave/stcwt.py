@@ -33,6 +33,7 @@ leakage matters.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -59,8 +60,31 @@ def reset_fft_count() -> None:
     _fft_calls = 0
 
 
+class _Sampled:
+    """Grid sizes of an (nx, ny, nt) volume, and the check that its sample
+    pitches are finite and positive."""
+
+    def __post_init__(self):
+        for name in ("pixel_pitch", "frame_pitch"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+
+    @property
+    def nx(self) -> int:
+        return self.data.shape[0]
+
+    @property
+    def ny(self) -> int:
+        return self.data.shape[1]
+
+    @property
+    def nt(self) -> int:
+        return self.data.shape[2]
+
+
 @dataclass
-class SequenceVolume:
+class SequenceVolume(_Sampled):
     """Real-valued (nx, ny, nt) image sequence.
 
     Data is promoted to float64 in memory regardless of the on-disk dtype.
@@ -80,51 +104,31 @@ class SequenceVolume:
             raise ValueError(f"all grid sizes must be >= 2, got {self.data.shape}")
         if not np.all(np.isfinite(self.data)):
             raise ValueError("sequence contains non-finite samples")
-        for name in ("pixel_pitch", "frame_pitch"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and positive, got {value}")
-
-    @property
-    def nx(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def ny(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def nt(self) -> int:
-        return self.data.shape[2]
+        super().__post_init__()
 
     def energy(self) -> float:
         return float(np.sum(self.data**2))
 
 
-@dataclass
-class SpectrumVolume:
+@dataclass(frozen=True)
+class SpectrumVolume(_Sampled):
     """Complex 3D spectrum on the discrete (kx, ky, omega) grid.
 
     Samples are stored in natural FFT order; the kx/ky/omega accessors
     return the angular frequency 2*pi*i/N of every bin (i in
     [-N/2, N/2)), so each sample is logically indexed by its frequency.
+    The pitches must be finite and positive, as for SequenceVolume.
     """
 
     data: np.ndarray
     pixel_pitch: float = 1.0
     frame_pitch: float = 1.0
 
-    @property
-    def nx(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def ny(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def nt(self) -> int:
-        return self.data.shape[2]
+    @cached_property
+    def power(self) -> np.ndarray:
+        """|data|^2, formed on first use and shared by every tuning read off
+        this spectrum."""
+        return self.data.real**2 + self.data.imag**2
 
     def kx(self) -> np.ndarray:
         return 2 * np.pi * np.fft.fftfreq(self.nx, d=self.pixel_pitch)
@@ -266,18 +270,12 @@ def tuned_energy_detail(
     params: GcmParams,
     frame_range=None,
     method: str = "auto",
-    *,
-    power: np.ndarray | None = None,
 ) -> tuple[float, float]:
     """(total coefficient energy, peak power gain) for one tuning.
 
     The peak power gain max|response|^2 bounds the energy any input of unit
     norm can produce; scans use it to tell genuine responses from FFT
-    round-off dust.
-
-    power, if given, must be spec.data.real**2 + spec.data.imag**2, formed
-    once by a caller that evaluates many tunings on one spectrum; only the
-    Parseval path reads it.
+    round-off dust.  The Parseval path reads the spectrum's cached power.
     """
     frames = _frame_indices(range(spec.nt) if frame_range is None else frame_range, spec.nt)
     all_frames = frames.size == spec.nt
@@ -290,11 +288,7 @@ def tuned_energy_detail(
     S, T = tuned_filter_factors(spec, g, params)
     gain = float(np.max(S**2)) * float(np.max(T**2))
     if method == "parseval":
-        if power is None:
-            power = spec.data.real**2 + spec.data.imag**2
-        elif power.shape != spec.data.shape:
-            raise ValueError(f"power shape {power.shape} differs from spectrum {spec.data.shape}")
-        per_pixel = power.reshape(spec.nx * spec.ny, spec.nt) @ (T**2)
+        per_pixel = spec.power.reshape(spec.nx * spec.ny, spec.nt) @ (T**2)
         return float(per_pixel @ (S**2).ravel()), gain
     coeffs = WaveletCoefficients(apply_spectral_filter(spec, S[:, :, None] * T), g)
     return energy_density(coeffs, frames), gain
@@ -306,15 +300,12 @@ def tuned_energy(
     params: GcmParams,
     frame_range=None,
     method: str = "auto",
-    *,
-    power: np.ndarray | None = None,
 ) -> float:
     """Total coefficient energy for one tuning.
 
     method "parseval" reads the energy off the spectrum (valid when the
     frame range covers all frames), "inverse" goes through the coefficient
     volume, "auto" picks the shortcut whenever it applies.  Both paths
-    agree to within round-off and are cross-checked in the tests.  power is
-    the shared power spectrum of tuned_energy_detail.
+    agree to within round-off and are cross-checked in the tests.
     """
-    return tuned_energy_detail(spec, g, params, frame_range, method, power=power)[0]
+    return tuned_energy_detail(spec, g, params, frame_range, method)[0]

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernels import _require_finite
 from .stcwt import SequenceVolume
 
 
@@ -44,6 +45,8 @@ class GaussianSceneSpec:
     def __post_init__(self):
         if self.nx < 2 or self.ny < 2 or self.nt < 2:
             raise ValueError("grid sizes must be at least 2")
+        _require_finite(self, "sigma_x", "sigma_y", "pattern_angle", "v_r", "motion_angle",
+                        "amplitude", "noise_sigma")
         if self.sigma_x <= 0 or self.sigma_y <= 0:
             raise ValueError("Gaussian widths must be positive")
         if self.v_r < 0:

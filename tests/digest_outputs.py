@@ -12,8 +12,9 @@ and stdout for `synth`, `scan`, `scan --refine`, `orient-scan`,
 `aperture-sweep`, `kernel` (gc2d, gcm, centered-gcm, cauchy2d with a
 rotated cone and an off-axis decay vector, morlet2d with the correction),
 `compare-aperture`, `frame-bounds --q1 8` and `--q1 16` and the stub
-tight frame, plus the energies, v_m, peak and no-motion flag of library
-`scan_speeds` calls at 256x256x64 and over a partial frame range, the
+tight frame, and `synth`, `scan` and `kernel` (gcm, morlet2d) with every
+flag at its default, plus the energies, v_m, peak and no-motion flag of
+library `scan_speeds` calls at 256x256x64 and over a partial frame range, the
 library frame-bound reports and lambda sums for a GCM and for a generic
 callable kernel, and the kernel evaluators on a point set holding signed
 zeros, infinities, NaN, 1e300 and python floats.  The digest of each part
@@ -88,6 +89,16 @@ def run_cli(digest, name, argv, outputs):
     files = [Path(path).read_bytes() if os.path.exists(path) else b"<missing>"
              for path in outputs]
     digest.add(name, code, out.getvalue(), *files)
+
+
+def default_outputs(digest):
+    """Commands with every flag at its default, so that a CLI default that
+    drifts away from its dataclass changes the digest."""
+    run_cli(digest, "synth defaults", ["synth", "--out", "d.stv"], ["d.stv"])
+    run_cli(digest, "scan defaults", ["scan", "--in", "d.stv", "--out", "d.csv"], ["d.csv"])
+    for kind in ("gcm", "morlet2d"):
+        run_cli(digest, f"kernel --type {kind} defaults", ["kernel", "--type", kind, "--out", "k"],
+                ["k_real.stv", "k_imag.stv", "k.json"])
 
 
 def cli_outputs(digest):
@@ -191,6 +202,7 @@ def main():
         os.chdir(tmp)  # the CLI prints its output paths; keep them relative
         try:
             cli_outputs(digest)
+            default_outputs(digest)
         finally:
             os.chdir(cwd)
     library_outputs(digest)

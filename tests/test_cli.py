@@ -1,19 +1,29 @@
 """Command-line surface: flags, file outputs, exit codes."""
 
+import argparse
 import json
 import math
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
-from conewave.cli import _scan_config, build_parser, main, parse_angle
+from conewave.cli import _from_args, _gcm_params, build_parser, main, parse_angle
+from conewave.frames import Discretization
+from conewave.kernels import ConeSpec, GcmParams, GroupElement, MorletParams
 from conewave.speedscan import ScanConfig
+from conewave.synth import GaussianSceneSpec
 from conewave.stvio import read_csv, read_sidecar, read_stv, read_stv_array, write_stv
 
 
 def run(*argv):
     return main(list(argv))
+
+
+def moved_fields(instance, default):
+    """Names of the fields in which instance differs from default."""
+    return {f.name for f in fields(instance)
+            if getattr(instance, f.name) != getattr(default, f.name)}
 
 
 # ---------------------------------------------------------------------------
@@ -33,7 +43,7 @@ def test_parse_angle_forms():
 @pytest.mark.parametrize("command", ["scan", "orient-scan", "aperture-sweep"])
 def test_scan_flag_defaults_are_the_config_defaults(command):
     args = build_parser().parse_args([command, "--in", "x", "--out", "y"])
-    assert _scan_config(args) == ScanConfig()
+    assert _from_args(ScanConfig, args) == ScanConfig()
 
 
 def test_every_scan_flag_sets_its_config_field():
@@ -43,17 +53,116 @@ def test_every_scan_flag_sets_its_config_field():
         "--refine-tol", "0.01", "--l", "4", "--m", "6", "--sigma", "2", "--omega0", "3.5",
         "--alpha", "pi/8",
     ])
-    config = _scan_config(args)
+    config = _from_args(ScanConfig, args)
     assert config == ScanConfig(
         c_min=0.5, c_max=4.0, c_step=0.5, theta=math.pi / 4, a_s=2.0, a_t=1.5,
         refine="golden-section", refine_tol=0.01, l=4, m=6, sigma=2.0, omega0=3.5,
         alpha=math.pi / 8,
     )
     # Every field but frame_range has a flag, and the run above moved each one.
-    default = ScanConfig()
-    moved = {f.name for f in fields(ScanConfig)
-             if getattr(config, f.name) != getattr(default, f.name)}
-    assert moved == {f.name for f in fields(ScanConfig)} - {"frame_range"}
+    assert moved_fields(config, ScanConfig()) == {f.name for f in fields(ScanConfig)} - {
+        "frame_range"}
+
+
+def test_kernel_and_frame_bound_flag_defaults_are_the_dataclass_defaults():
+    parser = build_parser()
+    args = parser.parse_args(["kernel", "--type", "gcm", "--out", "y"])
+    assert _from_args(GroupElement, args) == GroupElement()
+    assert _from_args(MorletParams, args) == MorletParams()
+    assert _gcm_params(args) == GcmParams()
+    args = parser.parse_args(["frame-bounds"])
+    assert _from_args(Discretization, args) == Discretization()
+    assert _gcm_params(args) == GcmParams()
+    args = parser.parse_args(["compare-aperture", "--out", "y"])
+    assert _from_args(GcmParams, args, cone=GcmParams().cone) == GcmParams()
+
+
+def test_every_kernel_flag_sets_its_dataclass_field():
+    args = build_parser().parse_args([
+        "kernel", "--type", "gcm", "--out", "y", "--bx", "0.5", "--by", "-1", "--tau", "2",
+        "--theta", "pi/4", "--a-s", "2", "--a-t", "1.5", "--c", "3", "--l", "4", "--m", "6",
+        "--sigma", "2", "--omega0", "3.5", "--alpha", "pi/8", "--theta-axis", "0.3",
+        "--k0", "3,1", "--epsilon", "2",
+    ])
+    g = _from_args(GroupElement, args)
+    assert g == GroupElement(bx=0.5, by=-1.0, tau=2.0, theta=math.pi / 4, a_s=2.0, a_t=1.5,
+                             c=3.0)
+    assert moved_fields(g, GroupElement()) == {f.name for f in fields(GroupElement)}
+    params = _gcm_params(args)
+    assert params == GcmParams(l=4, m=6, sigma=2.0, omega0=3.5,
+                               cone=ConeSpec(math.pi / 8, 0.3))
+    assert moved_fields(params, GcmParams()) == {f.name for f in fields(GcmParams)}
+    morlet = _from_args(MorletParams, args)
+    assert moved_fields(morlet, MorletParams()) == {"k0", "epsilon"}
+
+
+def test_omega0_follows_the_edge_orders_when_not_given():
+    args = build_parser().parse_args(["kernel", "--type", "gcm", "--l", "4", "--out", "y"])
+    assert _gcm_params(args).omega0 == math.sqrt(4 + 10)
+
+
+def test_every_frame_bounds_flag_sets_its_dataclass_field():
+    args = build_parser().parse_args([
+        "frame-bounds", "--a0", "3", "--c0", "1.5", "--q1", "4", "--bx0", "0.5",
+        "--by0", "0.25", "--tau0", "0.125", "--scale-range", "2", "--grid-size", "16",
+        "--gamma-range", "2", "--gamma-stride", "3", "--l", "4", "--m", "6", "--sigma", "2",
+        "--omega0", "3.5", "--alpha", "pi/8",
+    ])
+    disc = _from_args(Discretization, args)
+    assert disc == Discretization(a0=3.0, c0=1.5, q1=4, b_x0=0.5, b_y0=0.25, tau0=0.125,
+                                  scale_range=2, grid_size=16, gamma_range=2, gamma_stride=3)
+    # q_indices follows q1; polish_tol has no flag.
+    assert moved_fields(disc, Discretization()) == {f.name for f in fields(Discretization)} - {
+        "polish_tol"}
+    assert moved_fields(_gcm_params(args), GcmParams()) == {f.name for f in fields(GcmParams)}
+
+
+def test_synth_flag_defaults_are_the_scene_defaults(tmp_path):
+    out = tmp_path / "v.stv"
+    assert run("synth", "--out", str(out)) == 0
+    assert read_sidecar(out)["scene"] == asdict(GaussianSceneSpec())
+
+
+def test_every_synth_flag_sets_its_scene_field(tmp_path):
+    out = tmp_path / "v.stv"
+    assert run("synth", "--size", "32x24x6", "--speed", "1.5", "--motion-angle", "0.25",
+               "--sigma-x", "2", "--sigma-y", "3", "--pattern-angle", "0.5", "--noise", "0.1",
+               "--seed", "7", "--amplitude", "2", "--start", "12,12", "--no-wrap",
+               "--out", str(out)) == 0
+    expected = GaussianSceneSpec(nx=32, ny=24, nt=6, v_r=1.5, motion_angle=0.25, sigma_x=2.0,
+                                 sigma_y=3.0, pattern_angle=0.5, noise_sigma=0.1, seed=7,
+                                 amplitude=2.0, start=(12.0, 12.0), wrap=False)
+    scene = read_sidecar(out)["scene"]
+    assert scene == json.loads(json.dumps(asdict(expected)))
+    assert moved_fields(expected, GaussianSceneSpec()) == {
+        f.name for f in fields(GaussianSceneSpec)}
+
+
+OPTIONS = {
+    "synth": "--amplitude --dtype --motion-angle --no-wrap --noise --out --pattern-angle "
+             "--seed --sigma-x --sigma-y --size --speed --start",
+    "scan": "--a-s --a-t --alpha --c-max --c-min --c-step --in --l --m --omega0 --out "
+            "--refine --refine-tol --sigma --theta",
+    "orient-scan": "--a-s --a-t --alpha --c-max --c-min --c-step --in --l --m --omega0 --out "
+                   "--refine --refine-tol --sigma --theta --theta-max --theta-min --theta-step",
+    "aperture-sweep": "--a-s --a-t --alpha --alpha-list --c-max --c-min --c-step --in --l --m "
+                      "--omega0 --out --refine --refine-tol --sigma --theta",
+    "kernel": "--a-s --a-t --alpha --bx --by --c --correction --epsilon --eta --grid --k0 "
+              "--kmax --l --m --omega0 --out --sigma --tau --theta --theta-axis --type --wmax",
+    "frame-bounds": "--a0 --alpha --bx0 --by0 --c0 --gamma-range --gamma-stride --grid-size "
+                    "--l --m --omega0 --out --q1 --scale-range --sigma --stub-tight-frame "
+                    "--tau0",
+    "compare-aperture": "--gcm-alpha --grid-n --kmax --l --m --morlet-eps --morlet-k0 --out "
+                        "--sigma",
+}
+
+
+def test_every_subcommand_keeps_its_option_strings():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == set(OPTIONS)
+    for name, parser in sub.choices.items():
+        options = {o for a in parser._actions for o in a.option_strings} - {"-h", "--help"}
+        assert options == set(OPTIONS[name].split()), name
 
 
 def test_unknown_kernel_type_exits_2(tmp_path):
@@ -99,6 +208,14 @@ def test_synth_full_benchmark_scene(tmp_path):
 
 def test_synth_missing_dir_exits_3(tmp_path):
     assert run("synth", "--out", str(tmp_path / "nope" / "v.stv")) == 3
+
+
+@pytest.mark.parametrize("flag", ["--noise", "--speed", "--sigma-x", "--amplitude"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_synth_non_finite_flag_exits_2_and_writes_nothing(tmp_path, flag, value):
+    out = tmp_path / "v.stv"
+    assert run("synth", "--size", "8x8x4", f"{flag}={value}", "--out", str(out)) == 2
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

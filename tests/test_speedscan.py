@@ -38,6 +38,15 @@ def test_scan_config_rejects_non_finite_values(field, bad):
         ScanConfig(**{field: bad})
 
 
+@pytest.mark.parametrize("overrides", [
+    {"a_s": -1.0}, {"a_t": 0.0}, {"alpha": 2.0}, {"alpha": 0.0}, {"l": 0}, {"m": 0},
+    {"l": 2.5}, {"sigma": -1.0}, {"sigma": 0.0}, {"omega0": math.nan},
+])
+def test_scan_config_rejects_bad_kernel_and_tuning_fields(overrides):
+    with pytest.raises(ValueError):
+        ScanConfig(**overrides)
+
+
 def test_scan_config_validation():
     with pytest.raises(ValueError):
         ScanConfig(c_min=0.0)

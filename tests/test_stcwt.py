@@ -1,6 +1,7 @@
 """Transform engine against brute-force DFT and correlation oracles."""
 
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from conewave.stcwt import (
     inverse_fft3,
     reset_fft_count,
     tuned_energy,
-    tuned_energy_detail,
     tuned_filter_factors,
 )
 
@@ -55,6 +55,22 @@ def test_sequence_volume_validation():
 def test_sequence_volume_rejects_bad_pitch(name, value):
     with pytest.raises(ValueError, match=name):
         SequenceVolume(np.zeros((4, 4, 4)), **{name: value})
+
+
+@pytest.mark.parametrize("name", ["pixel_pitch", "frame_pitch"])
+@pytest.mark.parametrize("value", [-1.0, 0.0, math.inf, -math.inf, math.nan])
+def test_spectrum_volume_rejects_bad_pitch(name, value):
+    with pytest.raises(ValueError, match=name):
+        SpectrumVolume(np.zeros((4, 4, 4), dtype=complex), **{name: value})
+
+
+@pytest.mark.parametrize("name", ["pixel_pitch", "frame_pitch"])
+@pytest.mark.parametrize("value", [-1.0, 0.0, math.inf, -math.inf, math.nan])
+def test_forward_fft3_rejects_a_pitch_set_after_construction(name, value):
+    seq = random_sequence((4, 4, 4))
+    setattr(seq, name, value)
+    with pytest.raises(ValueError, match=name):
+        forward_fft3(seq)
 
 
 def test_spectrum_frequency_grids():
@@ -274,26 +290,13 @@ def test_parseval_shortcut_requires_full_frame_range():
     assert 0.0 < partial < full
 
 
-def test_shared_power_leaves_energy_and_gain_unchanged():
+def test_spectrum_caches_its_power_and_is_frozen():
     spec = forward_fft3(random_sequence((16, 12, 8), seed=21))
-    power = spec.data.real**2 + spec.data.imag**2
-    for params, g in [(wide_params(), GroupElement(c=0.7)),
-                      (GcmParams(), GroupElement(theta=0.5, a_s=1.5, a_t=2.0, c=2.4))]:
-        alone = tuned_energy_detail(spec, g, params)
-        assert tuned_energy_detail(spec, g, params, power=power) == alone
-        assert tuned_energy(spec, g, params, power=power) == alone[0]
-
-
-def test_only_the_parseval_path_reads_the_shared_power():
-    spec = forward_fft3(random_sequence((16, 12, 8), seed=22))
-    g, params = GroupElement(c=1.3), wide_params()
-    wrong = np.zeros(spec.data.shape)  # read by any path, it would give energy 0
-    assert tuned_energy(spec, g, params, method="parseval", power=wrong) == 0.0
-    for kwargs in ({"method": "inverse"}, {"frame_range": [0, 2, 5]}):
-        assert tuned_energy_detail(spec, g, params, power=wrong, **kwargs) == (
-            tuned_energy_detail(spec, g, params, **kwargs))
-    with pytest.raises(ValueError):
-        tuned_energy(spec, g, params, power=np.zeros((12, 16, 8)))
+    expected = spec.data.real**2 + spec.data.imag**2
+    assert spec.power.tobytes() == expected.tobytes()
+    assert spec.power is spec.power
+    with pytest.raises(FrozenInstanceError):
+        spec.data = np.zeros_like(spec.data)
 
 
 def test_benchmark_kernels_negligible_at_spatial_nyquist():

@@ -117,3 +117,11 @@ def test_add_noise_contract():
 def test_generate_with_noise_is_deterministic():
     spec = GaussianSceneSpec(nx=16, ny=16, nt=4, noise_sigma=0.1, seed=7)
     assert np.array_equal(generate(spec).data, generate(spec).data)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["sigma_x", "sigma_y", "pattern_angle", "v_r", "motion_angle",
+                                   "amplitude", "noise_sigma"])
+def test_scene_spec_rejects_non_finite_values(field, bad):
+    with pytest.raises(ValueError, match=field):
+        GaussianSceneSpec(**{field: bad})
