@@ -236,8 +236,7 @@ def cmd_kernel(args) -> int:
         "params": {"l": args.l, "m": args.m, "sigma": args.sigma,
                    "omega0": params.omega0, "alpha": args.alpha,
                    "theta_axis": args.theta_axis},
-        "group": {"theta": args.theta, "a_s": args.a_s, "a_t": args.a_t,
-                  "c": args.c, "bx": args.bx, "by": args.by, "tau": args.tau},
+        "group": asdict(g),
     }
     with open(f"{base}.json", "w") as fh:
         json.dump(meta, fh, sort_keys=True, indent=2)

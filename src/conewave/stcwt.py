@@ -117,12 +117,19 @@ class SpectrumVolume(_Sampled):
     Samples are stored in natural FFT order; the kx/ky/omega accessors
     return the angular frequency 2*pi*i/N of every bin (i in
     [-N/2, N/2)), so each sample is logically indexed by its frequency.
-    The pitches must be finite and positive, as for SequenceVolume.
+    The pitches must be finite and positive, as for SequenceVolume.  data
+    is a read-only view, so the cached power cannot go stale.
     """
 
     data: np.ndarray
     pixel_pitch: float = 1.0
     frame_pitch: float = 1.0
+
+    def __post_init__(self):
+        super().__post_init__()
+        data = np.asarray(self.data).view()
+        data.flags.writeable = False
+        object.__setattr__(self, "data", data)
 
     @cached_property
     def power(self) -> np.ndarray:

@@ -297,6 +297,8 @@ def test_spectrum_caches_its_power_and_is_frozen():
     assert spec.power is spec.power
     with pytest.raises(FrozenInstanceError):
         spec.data = np.zeros_like(spec.data)
+    with pytest.raises(ValueError, match="read-only"):
+        spec.data[0, 0, 0] = 0.0
 
 
 def test_benchmark_kernels_negligible_at_spatial_nyquist():
