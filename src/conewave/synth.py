@@ -47,6 +47,8 @@ class GaussianSceneSpec:
             raise ValueError("grid sizes must be at least 2")
         _require_finite(self, "sigma_x", "sigma_y", "pattern_angle", "v_r", "motion_angle",
                         "amplitude", "noise_sigma")
+        if self.start is not None and not all(math.isfinite(v) for v in self.start):
+            raise ValueError(f"start must be finite, got {self.start}")
         if self.sigma_x <= 0 or self.sigma_y <= 0:
             raise ValueError("Gaussian widths must be positive")
         if self.v_r < 0:

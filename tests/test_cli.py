@@ -12,8 +12,8 @@ from conewave.cli import _from_args, _gcm_params, build_parser, main, parse_angl
 from conewave.frames import Discretization
 from conewave.kernels import ConeSpec, GcmParams, GroupElement, MorletParams
 from conewave.speedscan import ScanConfig
-from conewave.synth import GaussianSceneSpec
 from conewave.stvio import read_csv, read_sidecar, read_stv, read_stv_array, write_stv
+from conewave.synth import GaussianSceneSpec
 
 
 def run(*argv):

@@ -125,3 +125,9 @@ def test_generate_with_noise_is_deterministic():
 def test_scene_spec_rejects_non_finite_values(field, bad):
     with pytest.raises(ValueError, match=field):
         GaussianSceneSpec(**{field: bad})
+
+
+@pytest.mark.parametrize("start", [(math.nan, 0.0), (0.0, math.inf)])
+def test_scene_spec_rejects_a_non_finite_start(start):
+    with pytest.raises(ValueError, match="start"):
+        GaussianSceneSpec(start=start)
