@@ -18,6 +18,7 @@ from conewave.stcwt import (
     inverse_fft3,
     reset_fft_count,
     tuned_energy,
+    tuned_energy_detail,
     tuned_filter_factors,
 )
 
@@ -299,6 +300,29 @@ def test_spectrum_caches_its_power_and_is_frozen():
         spec.data = np.zeros_like(spec.data)
     with pytest.raises(ValueError, match="read-only"):
         spec.data[0, 0, 0] = 0.0
+
+
+def test_shared_power_leaves_energy_and_gain_unchanged():
+    seq = random_sequence((16, 12, 8), seed=21)
+    shared = forward_fft3(seq)
+    for params, g in [(wide_params(), GroupElement(c=0.7)),
+                      (GcmParams(), GroupElement(theta=0.5, a_s=1.5, a_t=2.0, c=2.4))]:
+        alone = tuned_energy_detail(forward_fft3(seq), g, params)
+        assert tuned_energy_detail(shared, g, params) == alone
+        assert tuned_energy(shared, g, params) == alone[0]
+        assert "power" in vars(shared)  # formed by the first tuning, reused by the second
+
+
+def test_only_the_parseval_path_reads_the_shared_power():
+    spec = forward_fft3(random_sequence((16, 12, 8), seed=22))
+    g, params = GroupElement(c=1.3), wide_params()
+    expected = {repr(kw): tuned_energy_detail(spec, g, params, **kw)
+                for kw in ({"method": "inverse"}, {"frame_range": [0, 2, 5]})}
+    assert "power" not in vars(spec)  # neither path formed the power
+    vars(spec)["power"] = np.zeros(spec.data.shape)  # read by any path, it would give energy 0
+    assert tuned_energy(spec, g, params, method="parseval") == 0.0
+    for kw in ({"method": "inverse"}, {"frame_range": [0, 2, 5]}):
+        assert tuned_energy_detail(spec, g, params, **kw) == expected[repr(kw)]
 
 
 def test_benchmark_kernels_negligible_at_spatial_nyquist():
