@@ -22,11 +22,12 @@ correlation: both kernel copies are evaluated at lattice-scaled
 frequencies, the second at coordinates displaced by a translation-lattice
 point before the scaling.
 
-Every lattice sum goes through _term_factors, which yields per (l, n) pair
-the spatial magnitudes S of the q rotations, stacked on a leading axis, and
-the temporal magnitude T they share: for a GcmParams kernel, the GC profile
-and the temporal envelope of the kernels module.  The sum over q is taken
-before the product with T: Lambda = sum over (l, n) of (sum_q S**2) * T**2.
+Every lattice sum, at a point, on the search grid or at shifted points,
+goes through _term_factors.  It calls the kernel once per batch of (l, n)
+pairs and yields per pair the spatial magnitudes S of the q rotations,
+stacked on a leading axis, and the temporal magnitude T they share: for a
+GcmParams kernel, the GC profile and the temporal envelope of the kernels
+module.  Lambda = sum over (l, n), in pair order, of (sum_q S**2) * T**2.
 """
 
 import json
@@ -41,6 +42,8 @@ from .kernels import GcmParams, _require_finite, _temporal_envelope, eval_gc_2d
 from .speedscan import golden_section_maximize
 
 ESTIMATE_LABEL = "estimate, not certificate"
+_BATCH_POINTS = 2**18  # kernel points per batch of lattice pairs (at least one pair)
+_POLISH_TOL = 1e-4  # golden-section tolerance of the polish, in grid cells
 
 
 @dataclass(frozen=True)
@@ -48,8 +51,8 @@ class Discretization:
     """Lattice spec for the discretized family and its estimator knobs.
 
     scale_range truncates the scale and speed indices to [-scale_range,
-    scale_range]; q_indices defaults to one full rotation period.  The
-    translation steps b_x0, b_y0, tau0 default to values small enough that
+    scale_range]; the rotations q run over one full period, 0 .. 2*q1 - 1.
+    The translation steps b_x0, b_y0, tau0 default to values small enough that
     the translation lattice clears the largest dilated kernel tile at the
     default truncation, keeping gamma negligible.
     """
@@ -58,17 +61,18 @@ class Discretization:
     c0: float = 2.0
     q1: int = 8
     scale_range: int = 4
-    q_indices: tuple[int, ...] | None = None
     b_x0: float = 0.004
     b_y0: float = 0.004
     tau0: float = 0.001
     grid_size: int = 64
     gamma_range: int = 1
     gamma_stride: int = 4
-    polish_tol: float = 1e-4
 
     def __post_init__(self):
-        _require_finite(self, "a0", "c0", "b_x0", "b_y0", "tau0", "polish_tol")
+        _require_finite(self, "a0", "c0", "b_x0", "b_y0", "tau0")
+        for name in ("q1", "scale_range", "grid_size", "gamma_range", "gamma_stride"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.a0 <= 1.0 or self.c0 <= 1.0:
             raise ValueError("a0 and c0 must exceed 1")
         if self.q1 < 1:
@@ -79,14 +83,6 @@ class Discretization:
             raise ValueError("truncation ranges must be non-negative")
         if self.grid_size < 1 or self.gamma_stride < 1:
             raise ValueError("grid_size and gamma_stride must be positive")
-        if not self.polish_tol > 0:
-            raise ValueError("polish_tol must be positive")
-        if self.q_indices is None:
-            object.__setattr__(self, "q_indices", tuple(range(2 * self.q1)))
-        else:
-            object.__setattr__(self, "q_indices", tuple(int(q) for q in self.q_indices))
-        if not self.q_indices:
-            raise ValueError("q_indices must not be empty")
 
     @property
     def theta0(self) -> float:
@@ -162,27 +158,36 @@ def _term_factors(kernel, disc: Discretization, pairs, kx, ky, omega):
     S stacks the spatial magnitudes of the q rotations on a leading axis; T
     is the temporal magnitude they share.  A callable kernel does not factor:
     it yields its full magnitude as S and 1.0 as T.  kx, ky and omega
-    broadcast against each other.
+    broadcast against each other.  The kernel is called once per batch of
+    pairs, stacked on a leading axis, of at most _BATCH_POINTS points.
     """
     separable = isinstance(kernel, GcmParams)
     if not separable and not callable(kernel):
         raise TypeError(f"kernel must be GcmParams or a callable, got {type(kernel).__name__}")
     nd = max(np.ndim(kx), np.ndim(ky), np.ndim(omega))
     kx, ky, omega = (np.array(v, dtype=float, ndmin=nd) for v in (kx, ky, omega))
-    ct = np.array([math.cos(q * disc.theta0) for q in disc.q_indices])
-    st = np.array([math.sin(q * disc.theta0) for q in disc.q_indices])
+    qs = range(2 * disc.q1)
+    ct = np.array([math.cos(q * disc.theta0) for q in qs])
+    st = np.array([math.sin(q * disc.theta0) for q in qs])
     ux = np.multiply.outer(ct, kx) + np.multiply.outer(st, ky)
     uy = np.multiply.outer(-st, kx) + np.multiply.outer(ct, ky)
-    for l, n in pairs:
-        s_sp = disc.a0**l * disc.c0 ** (n / 3.0)
-        s_t = disc.a0**l * disc.c0 ** (-2.0 * n / 3.0)
-        # The rotated coordinates get no local name, so that they are freed
+    pairs = list(pairs)
+    size = max(1, _BATCH_POINTS // (len(qs) * np.broadcast(kx, ky, omega).size))
+    shape = (-1,) + (1,) * ux.ndim  # pair axis in front of the q axis
+    for start in range(0, len(pairs), size):
+        batch = pairs[start:start + size]
+        # Python-float scales, as np.power may round them differently.
+        s_sp = np.reshape([disc.a0**l * disc.c0 ** (n / 3.0) for l, n in batch], shape)
+        s_t = np.reshape([disc.a0**l * disc.c0 ** (-2.0 * n / 3.0) for l, n in batch], shape)
+        # The scaled coordinates get no local name, so that they are freed
         # before the caller reduces the yielded factors (peak memory).
         if separable:
-            yield (np.abs(eval_gc_2d(s_sp * ux, s_sp * uy, kernel)),
-                   np.abs(_temporal_envelope(s_t * omega, kernel)))
+            # T stays per pair: numpy squares a 0-d omega through pow, an
+            # array by multiplication, and the two can differ in the last bit.
+            yield from zip(np.abs(eval_gc_2d(s_sp * ux, s_sp * uy, kernel)),
+                           [np.abs(_temporal_envelope(s * omega, kernel)) for s in s_t.flat])
         else:
-            yield np.abs(kernel(s_sp * ux, s_sp * uy, s_t * omega)), 1.0
+            yield from zip(np.abs(kernel(s_sp * ux, s_sp * uy, s_t * omega)), [1.0] * len(batch))
 
 
 def lambda_fn(kx, ky, omega, disc: Discretization, kernel, with_tail: bool = False):
@@ -196,11 +201,8 @@ def lambda_fn(kx, ky, omega, disc: Discretization, kernel, with_tail: bool = Fal
     if not with_tail:
         return core
     edge = disc.scale_range + 1
-    shell = [
-        (l, n)
-        for l, n in product(range(-edge, edge + 1), repeat=2)
-        if max(abs(l), abs(n)) == edge
-    ]
+    shell = [(l, n) for l, n in product(range(-edge, edge + 1), repeat=2)
+             if max(abs(l), abs(n)) == edge]
     factors = _term_factors(kernel, disc, shell, kx, ky, omega)
     tail = max(float(np.max(np.max(s**2, axis=0) * t**2)) for s, t in factors)
     return core, tail
@@ -218,11 +220,8 @@ def _search_grid(disc: Discretization):
 
 
 def _box_coords(logr, phi, logw):
-    r = np.exp(logr)[:, None, None]
-    cphi = np.cos(phi)[None, :, None]
-    sphi = np.sin(phi)[None, :, None]
-    w = np.exp(logw)[None, None, :]
-    return r * cphi, r * sphi, w
+    r, w = np.exp(logr)[:, None, None], np.exp(logw)[None, None, :]
+    return r * np.cos(phi)[None, :, None], r * np.sin(phi)[None, :, None], w
 
 
 def _polish_extremum(disc, kernel, start, spans, maximize: bool):
@@ -233,9 +232,8 @@ def _polish_extremum(disc, kernel, start, spans, maximize: bool):
 
     def value(pt):
         lr, ph, lw = pt
-        kx = math.exp(lr) * math.cos(ph)
-        ky = math.exp(lr) * math.sin(ph)
-        return float(lambda_fn(kx, ky, math.exp(lw), disc, kernel))
+        r = math.exp(lr)
+        return float(lambda_fn(r * math.cos(ph), r * math.sin(ph), math.exp(lw), disc, kernel))
 
     point = list(start)
     best = value(point)
@@ -249,7 +247,7 @@ def _polish_extremum(disc, kernel, start, spans, maximize: bool):
                 trial[axis] = x
                 return sign * value(trial)
 
-            x, fx = golden_section_maximize(along, lo, hi, disc.polish_tol * spans[axis])
+            x, fx = golden_section_maximize(along, lo, hi, _POLISH_TOL * spans[axis])
             if fx > sign * best:
                 point[axis] = x
                 best = sign * fx

@@ -61,10 +61,16 @@ def reset_fft_count() -> None:
 
 
 class _Sampled:
-    """Grid sizes of an (nx, ny, nt) volume, and the check that its sample
-    pitches are finite and positive."""
+    """Grid sizes of an (nx, ny, nt) volume, and the checks that it is 3-D
+    with every size at least 2 and that its sample pitches are finite and
+    positive."""
 
     def __post_init__(self):
+        shape = np.shape(self.data)
+        if len(shape) != 3:
+            raise ValueError(f"expected a 3D volume, got shape {shape}")
+        if min(shape) < 2:
+            raise ValueError(f"all grid sizes must be >= 2, got {shape}")
         for name in ("pixel_pitch", "frame_pitch"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
@@ -98,13 +104,9 @@ class SequenceVolume(_Sampled):
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.float64)
-        if self.data.ndim != 3:
-            raise ValueError(f"expected a 3D volume, got shape {self.data.shape}")
-        if min(self.data.shape) < 2:
-            raise ValueError(f"all grid sizes must be >= 2, got {self.data.shape}")
+        super().__post_init__()
         if not np.all(np.isfinite(self.data)):
             raise ValueError("sequence contains non-finite samples")
-        super().__post_init__()
 
     def energy(self) -> float:
         return float(np.sum(self.data**2))
@@ -117,8 +119,8 @@ class SpectrumVolume(_Sampled):
     Samples are stored in natural FFT order; the kx/ky/omega accessors
     return the angular frequency 2*pi*i/N of every bin (i in
     [-N/2, N/2)), so each sample is logically indexed by its frequency.
-    The pitches must be finite and positive, as for SequenceVolume.  data
-    is a read-only view, so the cached power cannot go stale.
+    The shape and pitches are checked as for SequenceVolume.  data is a
+    read-only view, so the cached power cannot go stale.
     """
 
     data: np.ndarray

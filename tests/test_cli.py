@@ -1,9 +1,11 @@
 """Command-line surface: flags, file outputs, exit codes."""
 
 import argparse
+import importlib.util
 import json
 import math
 from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from conewave.kernels import ConeSpec, GcmParams, GroupElement, MorletParams
 from conewave.speedscan import ScanConfig
 from conewave.stvio import read_csv, read_sidecar, read_stv, read_stv_array, write_stv
 from conewave.synth import GaussianSceneSpec
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 def run(*argv):
@@ -111,9 +115,8 @@ def test_every_frame_bounds_flag_sets_its_dataclass_field():
     disc = _from_args(Discretization, args)
     assert disc == Discretization(a0=3.0, c0=1.5, q1=4, b_x0=0.5, b_y0=0.25, tau0=0.125,
                                   scale_range=2, grid_size=16, gamma_range=2, gamma_stride=3)
-    # q_indices follows q1; polish_tol has no flag.
-    assert moved_fields(disc, Discretization()) == {f.name for f in fields(Discretization)} - {
-        "polish_tol"}
+    # Every field has a flag, and the run above moved each one.
+    assert moved_fields(disc, Discretization()) == {f.name for f in fields(Discretization)}
     assert moved_fields(_gcm_params(args), GcmParams()) == {f.name for f in fields(GcmParams)}
 
 
@@ -453,6 +456,19 @@ def test_frame_bounds_stub_tight_frame(tmp_path):
     assert report["valid_frame"] is True
     assert report["lower_bound"] == pytest.approx(report["upper_bound"], rel=1e-9)
     assert report["label"] == "estimate, not certificate"
+
+
+def test_default_frame_bounds_passes_the_benchmark_check(capsys):
+    # The benchmark's own output check on its frame-bounds op, so that a
+    # change of the frames numbers fails here before the benchmark sees it.
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    assert run("frame-bounds", "--q1", "8") == 0
+    report = json.loads(capsys.readouterr().out)
+    reference = json.loads(workloads.FRAME_BOUNDS_REFERENCE.read_text())
+    outcome = workloads.check_frame_bounds(report, reference)
+    assert outcome.ok, outcome.detail
 
 
 def test_frame_bounds_refinement_direction(tmp_path):

@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from conewave import frames
 from conewave.frames import (
     Discretization,
     estimate_bounds,
     lambda_fn,
     tight_frame_stub,
 )
-from conewave.kernels import GcmParams, eval_gcm
+from conewave.kernels import GcmParams, eval_gc_2d, eval_gcm
 
 
 def small_disc(**overrides):
@@ -29,16 +30,20 @@ def test_discretization_validation():
         Discretization(q1=0)
     with pytest.raises(ValueError):
         Discretization(b_x0=0.0)
-    assert Discretization(q1=4).q_indices == tuple(range(8))
     assert Discretization(q1=4).theta0 == pytest.approx(math.pi / 4)
 
 
 def test_lambda_single_term_is_squared_kernel():
-    disc = Discretization(scale_range=0, q_indices=(0,))
+    # One scale and one speed: Lambda sums |K|^2 over the full q period.
+    disc = Discretization(scale_range=0)
     params = GcmParams()
     kx, ky, w = 4.0, 0.2, 4.5
-    got = lambda_fn(kx, ky, w, disc, params)
-    assert got == pytest.approx(float(eval_gcm(kx, ky, w, params)) ** 2, rel=1e-12)
+    want = 0.0
+    for q in range(2 * disc.q1):
+        c, s = math.cos(q * disc.theta0), math.sin(q * disc.theta0)
+        want += float(eval_gcm(c * kx + s * ky, -s * kx + c * ky, w, params)) ** 2
+    assert want > 0.0
+    assert lambda_fn(kx, ky, w, disc, params) == pytest.approx(want, rel=1e-12)
 
 
 def test_lambda_zero_at_spatial_origin():
@@ -170,7 +175,6 @@ def test_kernel_neither_gcm_nor_callable_is_a_type_error(estimate, junk):
 
 @pytest.mark.parametrize("field, value", [
     ("grid_size", 0), ("gamma_stride", 0), ("gamma_stride", -2),
-    ("polish_tol", 0.0), ("polish_tol", -1.0), ("polish_tol", math.nan), ("q_indices", ()),
 ])
 def test_discretization_rejects_bad_sizes_and_tolerances(field, value):
     with pytest.raises(ValueError):
@@ -178,10 +182,23 @@ def test_discretization_rejects_bad_sizes_and_tolerances(field, value):
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
-@pytest.mark.parametrize("field", ["a0", "c0", "b_x0", "b_y0", "tau0", "polish_tol"])
+@pytest.mark.parametrize("field", ["a0", "c0", "b_x0", "b_y0", "tau0"])
 def test_discretization_rejects_non_finite_steps(field, bad):
     with pytest.raises(ValueError, match=field):
         Discretization(**{field: bad})
+
+
+@pytest.mark.parametrize("field", ["q1", "scale_range", "grid_size", "gamma_range", "gamma_stride"])
+@pytest.mark.parametrize("value", [2.5, 2.0, math.nan, "2"])
+def test_discretization_rejects_non_integer_sizes(field, value):
+    with pytest.raises(ValueError, match=field):
+        Discretization(**{field: value})
+
+
+def test_discretization_takes_numpy_integer_sizes():
+    disc = Discretization(q1=np.int64(4), grid_size=np.int32(8))
+    assert disc.theta0 == math.pi / 4
+    assert disc == Discretization(q1=4, grid_size=8)
 
 
 def test_gamma_matches_naive_loop():
@@ -245,3 +262,46 @@ def test_generic_callable_matches_separable_kernel(steps):
             assert getattr(generic, key) == pytest.approx(value, rel=1e-12, abs=1e-300), key
         else:
             assert getattr(generic, key) == value, key
+
+
+def _gcm_callable(kx, ky, w):
+    return eval_gcm(kx, ky, w, GcmParams())
+
+
+def _lattice_outputs(kernel):
+    """Lambda with its tail at a point and on a grid, and a report whose
+    gamma comes from shifted points, in a form compared byte for byte."""
+    disc = small_disc(b_x0=2.0, b_y0=2.0, tau0=2.0)
+    kx = np.linspace(0.2, 4.0, 5)[:, None, None]
+    ky = np.linspace(-1.0, 1.0, 3)[None, :, None]
+    w = np.linspace(0.5, 6.0, 4)[None, None, :]
+    out = []
+    for point in ((1.5, 0.25, 2.0), (kx, ky, w)):
+        core, tail = lambda_fn(*point, disc, kernel, with_tail=True)
+        out += [type(core), np.asarray(core).tobytes(), tail,
+                np.asarray(lambda_fn(*point, disc, kernel)).tobytes()]
+    rep = estimate_bounds(disc, kernel)
+    assert rep.gamma > 0.0
+    return out + [rep.to_json()]
+
+
+@pytest.mark.parametrize("kernel", [GcmParams(), _gcm_callable], ids=["gcm", "callable"])
+@pytest.mark.parametrize("budget", [1, 40, 3000])
+def test_split_batches_give_the_same_bytes(kernel, budget, monkeypatch):
+    # 16 rotations a pair: a point fits 2 pairs in a budget of 40, and the
+    # strided gamma box (4**3 points) 2 pairs in 3000.
+    whole = _lattice_outputs(kernel)
+    monkeypatch.setattr(frames, "_BATCH_POINTS", budget)
+    assert _lattice_outputs(kernel) == whole
+
+
+def test_lambda_at_a_point_is_one_kernel_call(monkeypatch):
+    calls = []
+
+    def counted(kx, ky, params):
+        calls.append(np.shape(kx))
+        return eval_gc_2d(kx, ky, params)
+
+    monkeypatch.setattr(frames, "eval_gc_2d", counted)
+    lambda_fn(1.5, 0.25, 2.0, Discretization(), GcmParams())
+    assert calls == [(81, 16)]

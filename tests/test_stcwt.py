@@ -65,6 +65,15 @@ def test_spectrum_volume_rejects_bad_pitch(name, value):
         SpectrumVolume(np.zeros((4, 4, 4), dtype=complex), **{name: value})
 
 
+@pytest.mark.parametrize("volume, dtype", [(SequenceVolume, float), (SpectrumVolume, complex)])
+@pytest.mark.parametrize("shape, match", [
+    ((4, 4), "3D"), ((4, 4, 4, 4), "3D"), ((1, 4, 4), ">= 2"), ((4, 4, 1), ">= 2"),
+])
+def test_volumes_reject_a_shape_that_is_not_a_3d_grid(volume, dtype, shape, match):
+    with pytest.raises(ValueError, match=match):
+        volume(np.zeros(shape, dtype=dtype))
+
+
 @pytest.mark.parametrize("name", ["pixel_pitch", "frame_pitch"])
 @pytest.mark.parametrize("value", [-1.0, 0.0, math.inf, -math.inf, math.nan])
 def test_forward_fft3_rejects_a_pitch_set_after_construction(name, value):
