@@ -25,7 +25,10 @@ get wrong:
   speed tunings push the temporal center beyond the Nyquist frequency; a
   sequence sampled at frame rate aliases the same way, so folding the
   kernel keeps tuned filter and signal consistent (this is what makes
-  high-speed captures work at coarse temporal scales).
+  high-speed captures work at coarse temporal scales).  The spatial
+  factor is exactly zero outside its rotated cone, so each spatial alias
+  term is sampled only on the grid rows and columns of the cone's
+  bounding box; the rest of the grid would only add exact zeros.
 
 Boundary model is periodic (circular) throughout; window the input if
 leakage matters.
@@ -33,7 +36,7 @@ leakage matters.
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -136,20 +139,27 @@ class SpectrumVolume(_Sampled):
     @cached_property
     def power(self) -> np.ndarray:
         """|data|^2, formed on first use and shared by every tuning read off
-        this spectrum."""
-        return self.data.real**2 + self.data.imag**2
+        this spectrum.  It is C-ordered whatever the layout of data (a
+        volume read from STV is Fortran-ordered), so the Parseval path
+        reshapes it to (nx * ny, nt) without a copy."""
+        return np.ascontiguousarray(self.data.real**2 + self.data.imag**2)
 
     def kx(self) -> np.ndarray:
-        return 2 * np.pi * np.fft.fftfreq(self.nx, d=self.pixel_pitch)
+        return _angular_frequencies(self.nx, self.pixel_pitch)
 
     def ky(self) -> np.ndarray:
-        return 2 * np.pi * np.fft.fftfreq(self.ny, d=self.pixel_pitch)
+        return _angular_frequencies(self.ny, self.pixel_pitch)
 
     def omega(self) -> np.ndarray:
-        return 2 * np.pi * np.fft.fftfreq(self.nt, d=self.frame_pitch)
+        return _angular_frequencies(self.nt, self.frame_pitch)
 
     def energy(self) -> float:
         return float(np.sum(np.abs(self.data) ** 2))
+
+
+def _angular_frequencies(n: int, pitch: float) -> np.ndarray:
+    """Angular frequency of every bin of an n-point DFT, in natural FFT order."""
+    return 2 * np.pi * np.fft.fftfreq(n, d=pitch)
 
 
 @dataclass
@@ -206,6 +216,76 @@ def _alias_range(cutoff: float, period: float) -> range:
     return range(-jmax, jmax + 1)
 
 
+def _clip(polygon, a: float, b: float, c: float) -> list:
+    """The part of a convex polygon [(u, v), ...] where a*u + b*v + c >= 0."""
+    out = []
+    pu, pv = polygon[-1]
+    dp = a * pu + b * pv + c
+    for qu, qv in polygon:
+        dq = a * qu + b * qv + c
+        if (dp >= 0.0) != (dq >= 0.0):
+            s = dp / (dp - dq)
+            out.append((pu + s * (qu - pu), pv + s * (qv - pv)))
+        if dq >= 0.0:
+            out.append((qu, qv))
+        pu, pv, dp = qu, qv, dq
+    return out
+
+
+def _bins(lo: float, hi: float, n: int) -> np.ndarray:
+    """Indices of the bins f in [lo, hi] of an n-point DFT (f in natural
+    order, from -(n // 2) to (n - 1) // 2), widened by one bin each way."""
+    first = max(math.ceil(lo) - 1, -(n // 2))
+    last = min(math.floor(hi) + 1, (n - 1) // 2)
+    return _read_only(np.arange(first, last + 1) % n)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=8)
+def _cone_terms(nx: int, ny: int, pitch: float, terms: range, angle: float, alpha: float):
+    """The spatial alias terms (jx, jy) of terms x terms that can meet the
+    cone with axis angle and half-aperture alpha, each as (index into the
+    (nx, ny) grid, kx column, ky row) for its box of grid rows and columns.
+
+    A term's box is the bounding box of the cone clipped to its bins grown
+    by one bin, itself grown by one bin, so that no bin that rounding puts
+    inside the cone is left out; a term whose box is empty is dropped.  The
+    box does not depend on the speed or the scales of a tuning, so every
+    tuning of a scan shares it.  The arrays are read-only, as the cache
+    hands the same ones to every caller.
+    """
+    k_period = 2 * np.pi / pitch
+    kx, ky = _angular_frequencies(nx, pitch), _angular_frequencies(ny, pitch)
+    hx, hy = k_period / nx, k_period / ny
+    # Inward normals of the cone's edges; alpha < pi/2, so the cone is the
+    # intersection of the two half-planes normal . k >= 0.
+    normals = ((-math.sin(angle - alpha), math.cos(angle - alpha)),
+               (math.sin(angle + alpha), -math.cos(angle + alpha)))
+    u0, u1 = -(nx // 2) - 1, (nx - 1) // 2 + 1
+    v0, v1 = -(ny // 2) - 1, (ny - 1) // 2 + 1
+    out = []
+    for jx in terms:
+        for jy in terms:
+            # Bin (u, v) of the term sits at k = (u hx + jx k_period, v hy + jy k_period).
+            box = [(u0, v0), (u1, v0), (u1, v1), (u0, v1)]
+            for ex, ey in normals:
+                if box:
+                    box = _clip(box, ex * hx, ey * hy, (ex * jx + ey * jy) * k_period)
+            if not box:
+                continue
+            us, vs = [u for u, _ in box], [v for _, v in box]
+            rows, cols = _bins(min(us), max(us), nx), _bins(min(vs), max(vs), ny)
+            if rows.size and cols.size:
+                out.append((np.ix_(rows, cols),
+                            _read_only((kx[rows] + jx * k_period)[:, None]),
+                            _read_only((ky[cols] + jy * k_period)[None, :])))
+    return tuple(out)
+
+
 def tuned_filter_factors(
     spec: SpectrumVolume, g: GroupElement, params: GcmParams
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -213,23 +293,26 @@ def tuned_filter_factors(
 
     Returns (S, T): the (nx, ny) spatial response with the group prefactor
     and the (nt,) temporal response, both periodized and sampled with the
-    engine's temporal orientation.  Translations must be zero; the inverse
+    engine's temporal orientation.  Each spatial alias term is sampled only
+    on the grid box of its rotated cone, and added there in the same order
+    and with the same arithmetic as over the whole grid, where it is
+    exactly zero outside the cone.  Translations must be zero; the inverse
     FFT supplies them.
     """
     if g.bx != 0.0 or g.by != 0.0 or g.tau != 0.0:
         raise ValueError("translation parameters must be zero; the inverse FFT supplies them")
 
-    kx, ky, w = spec.kx(), spec.ky(), spec.omega()
+    w = spec.omega()
     k_period = 2 * np.pi / spec.pixel_pitch
     w_period = 2 * np.pi / spec.frame_pitch
     k_cut = _radial_cutoff(params) / (g.a_s * g.c**SPEED_EXPONENT_SPATIAL)
     t_cut = _temporal_cutoff(params) * g.c**SPEED_EXPONENT_TEMPORAL / g.a_t
 
     S = np.zeros((spec.nx, spec.ny))
-    for jx in _alias_range(k_cut, k_period):
-        for jy in _alias_range(k_cut, k_period):
-            S += tuned_spatial(g, params, (kx + jx * k_period)[:, None],
-                               (ky + jy * k_period)[None, :])
+    for index, kx, ky in _cone_terms(spec.nx, spec.ny, spec.pixel_pitch,
+                                     _alias_range(k_cut, k_period),
+                                     g.theta + params.cone.theta_axis, params.cone.alpha):
+        S[index] += tuned_spatial(g, params, kx, ky)
     S *= _prefactor(g)
 
     T = np.zeros(spec.nt)

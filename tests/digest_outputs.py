@@ -14,7 +14,9 @@ rotated cone and an off-axis decay vector, morlet2d with the correction),
 `compare-aperture`, `frame-bounds --q1 8` and `--q1 16` and the stub
 tight frame, and `synth`, `scan` and `kernel` (gcm, morlet2d) with every
 flag at its default, plus the energies, v_m, peak and no-motion flag of
-library `scan_speeds` calls at 256x256x64 and over a partial frame range, the
+library `scan_speeds` calls at 256x256x64, over a partial frame range and on
+C- and Fortran-ordered copies of one scene, the spatial and temporal
+factors of `tuned_filter_factors` over awkward tunings, the
 library frame-bound reports and lambda sums for a GCM and for a generic
 callable kernel, and the kernel evaluators on a point set holding signed
 zeros, infinities, NaN, 1e300 and python floats.  The digest of each part
@@ -49,6 +51,7 @@ from conewave.kernels import (  # noqa: E402
     tuned_temporal,
 )
 from conewave.speedscan import ScanConfig, scan_speeds  # noqa: E402
+from conewave.stcwt import SequenceVolume, SpectrumVolume, tuned_filter_factors  # noqa: E402
 from conewave.stvio import write_stv  # noqa: E402
 from conewave.synth import GaussianSceneSpec, generate  # noqa: E402
 
@@ -193,6 +196,34 @@ def library_outputs(digest):
         curve = scan_speeds(generate(spec), ScanConfig(frame_range=frame_range))
         digest.add(name, curve.c_values.tobytes(), curve.energies.tobytes(),
                    curve.v_m, curve.peak_energy, curve.no_motion)
+    data = generate(GaussianSceneSpec(nx=53, ny=71, nt=13, v_r=4.0, motion_angle=-1.1,
+                                      pattern_angle=-1.1, noise_sigma=0.05, seed=5)).data
+    for layout in (np.ascontiguousarray, np.asfortranarray):
+        curve = scan_speeds(SequenceVolume(layout(data)),
+                            ScanConfig(theta=-1.1, refine="golden-section"))
+        digest.add(f"scan_speeds {layout.__name__}", curve.energies.tobytes(), curve.v_m,
+                   curve.peak_energy, curve.no_motion)
+
+
+def factor_outputs(digest):
+    """Spatial and temporal factors on tiny, odd and non-square grids at
+    non-unit pitches, with a rotated cone axis, apertures from pi/256 to
+    1.5, and the tuning angle, the cone axis or a cone edge on the grid
+    axes and diagonals."""
+    params = [GcmParams(l=l, m=m, sigma=1.5, cone=ConeSpec(alpha=alpha, theta_axis=0.3))
+              for alpha in (math.pi / 256, math.pi / 16, 1.5) for l, m in ((3, 4), (10, 10))]
+    for nx, ny in ((2, 3), (17, 64), (53, 71)):
+        for pitch in (0.5, 1.7):
+            spec = SpectrumVolume(np.zeros((nx, ny, 5), dtype=complex), pitch, 1.0)
+            chunks = []
+            for p in params:
+                alpha = p.cone.alpha
+                for theta in (k * math.pi / 4 + shift for k in range(-4, 4)
+                              for shift in (0.0, -0.3, alpha - 0.3, -alpha - 0.3)):
+                    for a_s, c in ((0.5, 1.0), (3.0, 5.0)):
+                        g = GroupElement(theta=theta, a_s=a_s, a_t=2.0, c=c)
+                        chunks.extend(f.tobytes() for f in tuned_filter_factors(spec, g, p))
+            digest.add(f"tuned_filter_factors {nx}x{ny} pitch {pitch}", *chunks)
 
 
 def main():
@@ -206,6 +237,7 @@ def main():
         finally:
             os.chdir(cwd)
     library_outputs(digest)
+    factor_outputs(digest)
     frame_outputs(digest)
     with np.errstate(all="ignore"):  # inf - inf and overflow are part of the point set
         kernel_outputs(digest)

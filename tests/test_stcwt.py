@@ -6,7 +6,18 @@ from dataclasses import FrozenInstanceError
 import numpy as np
 import pytest
 
-from conewave.kernels import ConeSpec, GcmParams, GroupElement
+from conewave import stcwt
+from conewave.kernels import (
+    SPEED_EXPONENT_SPATIAL,
+    SPEED_EXPONENT_TEMPORAL,
+    ConeSpec,
+    GcmParams,
+    GroupElement,
+    _prefactor,
+    tuned_spatial,
+    tuned_temporal,
+)
+from conewave.speedscan import ScanConfig, scan_speeds
 from conewave.stcwt import (
     SequenceVolume,
     SpectrumVolume,
@@ -21,6 +32,8 @@ from conewave.stcwt import (
     tuned_energy_detail,
     tuned_filter_factors,
 )
+from conewave.stvio import read_stv, write_stv
+from conewave.synth import GaussianSceneSpec, generate
 
 
 def random_sequence(shape, seed=0):
@@ -342,3 +355,85 @@ def test_benchmark_kernels_negligible_at_spatial_nyquist():
         # The Nyquist row and column of the 64x64 spatial grid.
         shell = max(np.abs(S[32, :]).max(), np.abs(S[:, 32]).max())
         assert shell < 1e-6 * np.abs(S).max()
+
+
+# ---------------------------------------------------------------------------
+# cone-cropped spatial factors
+
+
+def full_grid_factors(spec, g, params):
+    """tuned_filter_factors as a double loop of alias terms over the whole
+    grid: the reference the cone-cropped terms must match byte for byte."""
+    kx, ky, w = spec.kx(), spec.ky(), spec.omega()
+    k_period = 2 * np.pi / spec.pixel_pitch
+    w_period = 2 * np.pi / spec.frame_pitch
+    k_cut = stcwt._radial_cutoff(params) / (g.a_s * g.c**SPEED_EXPONENT_SPATIAL)
+    t_cut = stcwt._temporal_cutoff(params) * g.c**SPEED_EXPONENT_TEMPORAL / g.a_t
+    S = np.zeros((spec.nx, spec.ny))
+    for jx in stcwt._alias_range(k_cut, k_period):
+        for jy in stcwt._alias_range(k_cut, k_period):
+            S += tuned_spatial(g, params, (kx + jx * k_period)[:, None],
+                               (ky + jy * k_period)[None, :])
+    S *= _prefactor(g)
+    T = np.zeros(spec.nt)
+    for jt in stcwt._alias_range(t_cut, w_period):
+        T += tuned_temporal(g, params, -(w + jt * w_period))
+    return S, T
+
+
+def assert_factors_match_full_grid(shape, pitch, g, params):
+    spec = SpectrumVolume(np.zeros(shape, dtype=complex), pitch, 1.0)
+    got = tuned_filter_factors(spec, g, params)
+    want = full_grid_factors(spec, g, params)
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes(), (shape, pitch, g, params)
+
+
+def test_cropped_factors_match_the_full_grid_on_random_tunings():
+    rng = np.random.default_rng(15)
+    for _ in range(300):
+        shape = tuple(int(n) for n in rng.integers(2, 70, 3))
+        alpha = float(rng.uniform(math.pi / 256, math.pi / 2 - 1e-3))
+        params = GcmParams(l=int(rng.integers(1, 12)), m=int(rng.integers(1, 12)),
+                           sigma=float(rng.uniform(0.3, 3.0)),
+                           cone=ConeSpec(alpha=alpha, theta_axis=float(rng.uniform(-3, 3))))
+        g = GroupElement(theta=float(rng.uniform(-4, 4)), a_s=float(rng.uniform(0.3, 4)),
+                         a_t=float(rng.uniform(0.5, 3)), c=float(rng.uniform(0.5, 6)))
+        assert_factors_match_full_grid(shape, float(rng.uniform(0.3, 3.0)), g, params)
+
+
+@pytest.mark.parametrize("theta_axis", [0.0, 0.3])
+@pytest.mark.parametrize("alpha", [math.pi / 256, math.pi / 16, math.pi / 4, 1.5])
+def test_cropped_factors_match_the_full_grid_at_degenerate_angles(alpha, theta_axis):
+    # Cone axes on the grid axes and diagonals, and cone edges parallel to
+    # a grid axis, where bins lie on the edge up to rounding.
+    axes = [k * math.pi / 4 - theta_axis for k in range(-4, 5)]
+    edges = [k * math.pi / 2 - theta_axis + side * alpha for k in range(-2, 3) for side in (-1, 1)]
+    for i, theta in enumerate(axes + edges):
+        shape = ((2, 3, 2), (17, 64, 5), (53, 71, 4), (64, 64, 3))[i % 4]
+        params = GcmParams(l=1 + i % 2, m=2 + i % 3, sigma=0.7,
+                           cone=ConeSpec(alpha=alpha, theta_axis=theta_axis))
+        for a_s, c in ((0.5, 1.0), (3.0, 6.0)):
+            g = GroupElement(theta=theta, a_s=a_s, a_t=2.0, c=c)
+            for pitch in (0.5, 1.7):
+                assert_factors_match_full_grid(shape, pitch, g, params)
+
+
+def test_stv_input_gets_a_c_ordered_power(tmp_path):
+    path = tmp_path / "scene.stv"
+    write_stv(path, random_sequence((13, 10, 6), seed=23), dtype="float64")
+    seq = read_stv(path)
+    assert seq.data.flags.f_contiguous and not seq.data.flags.c_contiguous
+    spec = forward_fft3(seq)
+    assert spec.power.flags.c_contiguous
+    assert np.shares_memory(spec.power, spec.power.reshape(spec.nx * spec.ny, spec.nt))
+
+
+def test_scan_reads_the_same_energies_off_c_and_fortran_ordered_input():
+    data = generate(GaussianSceneSpec(nx=40, ny=36, nt=12, sigma_x=1.0, sigma_y=6.0,
+                                      v_r=2.5, motion_angle=0.4, pattern_angle=0.4)).data
+    curves = [scan_speeds(SequenceVolume(layout(data)), ScanConfig(theta=0.4))
+              for layout in (np.ascontiguousarray, np.asfortranarray)]
+    assert curves[0].energies.tobytes() == curves[1].energies.tobytes()
+    assert curves[0].v_m == curves[1].v_m
+
