@@ -208,7 +208,9 @@ def cmd_kernel(args) -> int:
     KY = ky[None, :, None]
     W = w[None, None, :]
     params = _gcm_params(args)
-    g = _from_args(GroupElement, args)
+    # Only the GCM types apply the motion group and read its flags; the
+    # sidecar records the identity for the others.
+    g = _from_args(GroupElement, args) if args.type in ("gcm", "centered-gcm") else GroupElement()
     if args.type == "gcm":
         values = apply_group(g, params, KX, KY, W)
     elif args.type == "centered-gcm":

@@ -23,17 +23,27 @@ frequencies, the second at coordinates displaced by a translation-lattice
 point before the scaling.
 
 Every lattice sum, at a point, on the search grid or at shifted points,
-goes through _term_factors.  It calls the kernel once per batch of (l, n)
-pairs and yields per pair the spatial magnitudes S of the q rotations,
-stacked on a leading axis, and the temporal magnitude T they share: for a
-GcmParams kernel, the GC profile and the temporal envelope of the kernels
-module.  Lambda = sum over (l, n), in pair order, of (sum_q S**2) * T**2.
+goes through _lattice_batches.  It calls the kernel once per batch of
+(l, n) pairs and yields the spatial magnitudes S of the q rotations, with
+the pairs and the rotations on leading axes; the temporal magnitude T of a
+pair is shared by its rotations.  For a GcmParams kernel these are the GC
+profile and the temporal envelope of the kernels module.  Lambda = sum
+over (l, n), in pair order, of (sum_q S**2) * T**2, added one pair at a
+time, so batching does not change a bit.
+
+Gamma skips the terms it proves to be +0.0 (_live_pairs): a pair whose
+temporal product T0 * T1 is 0 everywhere, and every pair at once where no
+rotated point lies in the cone both unshifted and shifted, or a pair
+whose GC Gaussian underflows to 0 at every point that does.  The proofs
+hold at every pair scale, with a rounding allowance, and need a finite
+sum: where the GC powers could overflow (so a skipped 0 * inf would be
+NaN), and for a callable kernel, every pair is evaluated.
 """
 
 import json
 import math
 from dataclasses import asdict, dataclass
-from functools import cache
+from functools import cache, lru_cache, reduce
 from itertools import product
 
 import numpy as np
@@ -52,9 +62,13 @@ class Discretization:
 
     scale_range truncates the scale and speed indices to [-scale_range,
     scale_range]; the rotations q run over one full period, 0 .. 2*q1 - 1.
-    The translation steps b_x0, b_y0, tau0 default to values small enough that
-    the translation lattice clears the largest dilated kernel tile at the
-    default truncation, keeping gamma negligible.
+    The translation steps b_x0, b_y0, tau0 default to values small enough
+    that gamma is exactly 0.  A temporal shift of 2*pi/tau0 = 6283 rad/frame
+    moves every scaled frequency of the search box so far from omega0 that
+    the shifted temporal envelope underflows to 0.  A spatial shift of
+    2*pi/b_x0 = 1571 rad/px either moves a point into a rotated cone other
+    than the one it started in, or so far along the cone axis that the GC
+    Gaussian underflows to 0 at every pair scale.
     """
 
     a0: float = 2.0
@@ -152,42 +166,123 @@ def tight_frame_stub(disc: Discretization):
     return response
 
 
-def _term_factors(kernel, disc: Discretization, pairs, kx, ky, omega):
-    """Yield (S, T) for each lattice pair (l, n) at the given frequencies.
+@lru_cache(maxsize=8)
+def _lattice(disc: Discretization, shell: bool = False):
+    """Spatial and temporal scales of the lattice pairs (l, n), in pair order:
+    the truncated lattice, or with shell=True its first dropped shell."""
+    if shell:
+        edge = disc.scale_range + 1
+        pairs = [(l, n) for l, n in product(range(-edge, edge + 1), repeat=2)
+                 if max(abs(l), abs(n)) == edge]
+    else:
+        pairs = list(product(disc.scale_indices(), repeat=2))
+    # Python-float scales, as np.power may round them differently.
+    scales = (np.array([disc.a0**l * disc.c0 ** (n / 3.0) for l, n in pairs]),
+              np.array([disc.a0**l * disc.c0 ** (-2.0 * n / 3.0) for l, n in pairs]))
+    for s in scales:
+        s.flags.writeable = False
+    return scales
 
-    S stacks the spatial magnitudes of the q rotations on a leading axis; T
-    is the temporal magnitude they share.  A callable kernel does not factor:
-    it yields its full magnitude as S and 1.0 as T.  kx, ky and omega
-    broadcast against each other.  The kernel is called once per batch of
-    pairs, stacked on a leading axis, of at most _BATCH_POINTS points.
+
+@lru_cache(maxsize=8)
+def _turns(q1: int):
+    """Cosines and sines of the 2*q1 lattice rotations q * pi / q1."""
+    theta0 = math.pi / q1
+    return (np.array([math.cos(q * theta0) for q in range(2 * q1)]),
+            np.array([math.sin(q * theta0) for q in range(2 * q1)]))
+
+
+def _rotated(disc: Discretization, kx, ky):
+    """(kx, ky) under each lattice rotation, stacked on a leading q axis."""
+    ct, st = _turns(disc.q1)
+    return (np.multiply.outer(ct, kx) + np.multiply.outer(st, ky),
+            np.multiply.outer(-st, kx) + np.multiply.outer(ct, ky))
+
+
+def _rotation_chunks(kernel, sp, st, ux, uy, omega, q_size):
+    """Yield (qs, S) for the rotations qs, q_size at a time: one kernel call
+    per chunk."""
+    for q in range(0, len(ux), q_size):
+        qs = slice(q, q + q_size)
+        # The scaled coordinates get no local name, so that they are freed
+        # before the caller reduces S (peak memory).
+        if isinstance(kernel, GcmParams):
+            yield qs, np.abs(eval_gc_2d(sp * ux[qs], sp * uy[qs], kernel))
+        else:
+            yield qs, np.abs(kernel(sp * ux[qs], sp * uy[qs], st * omega))
+
+
+def _lattice_batches(kernel, disc: Discretization, scales, kx, ky, omega):
+    """Yield (rows, chunks) per batch of lattice pairs, in pair order.
+
+    rows slices the pairs of scales = (spatial scales, temporal scales) that
+    the batch holds; chunks yields (qs, S), the spatial magnitudes of those
+    pairs under the rotations qs, shaped (pairs, rotations, *points).  For a
+    GcmParams kernel S is the GC profile, in one chunk.  A callable kernel
+    does not factor: S is its full magnitude (T is 1), and the rotations of
+    a pair are split into chunks of at most _BATCH_POINTS points.  A batch
+    holds at most _BATCH_POINTS points, and at least one pair.
     """
     separable = isinstance(kernel, GcmParams)
     if not separable and not callable(kernel):
         raise TypeError(f"kernel must be GcmParams or a callable, got {type(kernel).__name__}")
-    nd = max(np.ndim(kx), np.ndim(ky), np.ndim(omega))
-    kx, ky, omega = (np.array(v, dtype=float, ndmin=nd) for v in (kx, ky, omega))
-    qs = range(2 * disc.q1)
-    ct = np.array([math.cos(q * disc.theta0) for q in qs])
-    st = np.array([math.sin(q * disc.theta0) for q in qs])
-    ux = np.multiply.outer(ct, kx) + np.multiply.outer(st, ky)
-    uy = np.multiply.outer(-st, kx) + np.multiply.outer(ct, ky)
-    pairs = list(pairs)
-    size = max(1, _BATCH_POINTS // (len(qs) * np.broadcast(kx, ky, omega).size))
+    ux, uy = _rotated(disc, kx, ky)
+    n_q = len(ux)
+    points = np.broadcast(kx, ky, omega).size
+    size = max(1, _BATCH_POINTS // (n_q * points))
+    # A lone point keeps its rotations together: np.sum adds them pairwise
+    # there, and one rotation after the other where a rotation has more points.
+    q_size = n_q if separable or points == 1 else max(1, _BATCH_POINTS // points)
+    s_sp, s_t = scales
     shape = (-1,) + (1,) * ux.ndim  # pair axis in front of the q axis
-    for start in range(0, len(pairs), size):
-        batch = pairs[start:start + size]
-        # Python-float scales, as np.power may round them differently.
-        s_sp = np.reshape([disc.a0**l * disc.c0 ** (n / 3.0) for l, n in batch], shape)
-        s_t = np.reshape([disc.a0**l * disc.c0 ** (-2.0 * n / 3.0) for l, n in batch], shape)
-        # The scaled coordinates get no local name, so that they are freed
-        # before the caller reduces the yielded factors (peak memory).
-        if separable:
-            # T stays per pair: numpy squares a 0-d omega through pow, an
-            # array by multiplication, and the two can differ in the last bit.
-            yield from zip(np.abs(eval_gc_2d(s_sp * ux, s_sp * uy, kernel)),
-                           [np.abs(_temporal_envelope(s * omega, kernel)) for s in s_t.flat])
-        else:
-            yield from zip(np.abs(kernel(s_sp * ux, s_sp * uy, s_t * omega)), [1.0] * len(batch))
+    for start in range(0, len(s_sp), size):
+        rows = slice(start, start + size)
+        yield rows, _rotation_chunks(kernel, s_sp[rows].reshape(shape), s_t[rows].reshape(shape),
+                                     ux, uy, omega, q_size)
+
+
+def _fold_q(chunks, per_q, fold=np.add):
+    """per_q(qs, S) folded over the q axis by the ufunc fold, as fold.reduce
+    folds a whole stack.  Chunks after the first are folded in one rotation
+    at a time, which is the order of np.add.reduce over the q axis of a
+    stack with more than one point."""
+    folded = None
+    for qs, S in chunks:
+        part = per_q(qs, S)
+        folded = (fold.reduce(part, axis=1) if folded is None
+                  else reduce(fold, part.swapaxes(0, 1), folded))
+    return folded
+
+
+def _temporal(kernel, s_t, omega, squared: bool = False):
+    """Temporal magnitudes |T| (or T**2) of the pairs with temporal scales
+    s_t, stacked on a leading axis; 1 for a callable kernel.  A 0-d omega gets
+    the rounding of the numpy scalars it stands for, which square through pow.
+    """
+    shape = (-1,) + (1,) * omega.ndim
+    if not isinstance(kernel, GcmParams):
+        return np.ones(len(s_t)).reshape(shape)
+    power = np.float_power if omega.ndim == 0 else pow
+    t = np.abs(_temporal_envelope(s_t.reshape(shape) * omega, kernel, power))
+    return power(t, 2) if squared else t
+
+
+def _square_folds(kernel, disc: Discretization, shell: bool, points, fold=np.add):
+    """Yield per batch of pairs the fold over q of S**2, and T**2."""
+    scales = _lattice(disc, shell)
+    for rows, chunks in _lattice_batches(kernel, disc, scales, *points):
+        yield (_fold_q(chunks, lambda qs, S: S**2, fold),
+               _temporal(kernel, scales[1][rows], points[2], squared=True))
+
+
+def _running_sum(total, terms):
+    """total + terms[0] + terms[1] + ..., one pair at a time in pair order."""
+    terms[0] += total
+    if terms.ndim == 1:  # one point: a sequential cumsum, no Python step per pair
+        return np.cumsum(terms)[-1]
+    for term in terms[1:]:  # np.cumsum along a leading axis is slow on wide rows
+        terms[0] += term
+    return terms[0]
 
 
 def lambda_fn(kx, ky, omega, disc: Discretization, kernel, with_tail: bool = False):
@@ -196,16 +291,17 @@ def lambda_fn(kx, ky, omega, disc: Discretization, kernel, with_tail: bool = Fal
     With with_tail=True also returns the largest squared term on the first
     dropped scale/speed shell, a diagnostic for the truncation error.
     """
-    factors = _term_factors(kernel, disc, product(disc.scale_indices(), repeat=2), kx, ky, omega)
-    core = sum(np.sum(s**2, axis=0) * t**2 for s, t in factors)
+    nd = max(np.ndim(kx), np.ndim(ky), np.ndim(omega))  # scalars stay 0-d
+    points = tuple(np.array(v, dtype=float, ndmin=nd) for v in (kx, ky, omega))
+    core = 0
+    for folded, t2 in _square_folds(kernel, disc, False, points):
+        core = _running_sum(core, folded * t2)
     if not with_tail:
         return core
-    edge = disc.scale_range + 1
-    shell = [(l, n) for l, n in product(range(-edge, edge + 1), repeat=2)
-             if max(abs(l), abs(n)) == edge]
-    factors = _term_factors(kernel, disc, shell, kx, ky, omega)
-    tail = max(float(np.max(np.max(s**2, axis=0) * t**2)) for s, t in factors)
-    return core, tail
+    tail = []  # the largest term of each shell pair, in pair order
+    for folded, t2 in _square_folds(kernel, disc, True, points, np.maximum):
+        tail += np.max((folded * t2).reshape(len(folded), -1), axis=1).tolist()
+    return core, max(tail)
 
 
 def _box_extents(disc: Discretization):
@@ -254,26 +350,107 @@ def _polish_extremum(disc, kernel, start, spans, maximize: bool):
     return best
 
 
+_SLACK = 1e-12  # relative rounding allowance of the gamma prune, 1e4 float64 epsilons
+
+
+def _maybe_in_cone(cone, ux, uy, floor):
+    """False only where (s * ux, s * uy) lies outside the cone at every pair
+    scale s: a dual projection below minus the allowance keeps its sign
+    through the scaling's rounding, and floor keeps it clear of subnormals."""
+    inside = True
+    for ex, ey in (cone.dual_plus, cone.dual_minus):
+        a, b = ux * ex, uy * ey
+        inside = inside & (a + b >= -(_SLACK * (abs(a) + abs(b)) + floor))
+    return inside
+
+
+def _underflows(kernel: GcmParams, s_sp, ux, uy, where):
+    """Pairs at whose scale s the GC profile is exactly 0 wherever `where`.
+
+    Its Gaussian is exp(-0.5 * sigma * (axial - chi)**2), and s * low bounds
+    the axial coordinate the kernel computes at the scaled points from
+    below.  Rounding is monotone, so their exponents are at most the one
+    formed from the bound; where np.exp gives 0 for that, it gives 0 for
+    them (exp is non-decreasing), and a finite power product times 0 is 0.
+    """
+    ax, ay = kernel.cone.axis_unit
+    a, b = ux * ax, uy * ay
+    low = np.min((a + b - _SLACK * (abs(a) + abs(b)))[where])
+    reach = s_sp * low - kernel.chi
+    with np.errstate(over="ignore"):
+        return (reach > 0) & (np.exp(-0.5 * kernel.sigma * reach**2) == 0)
+
+
+def _live_pairs(kernel, s_sp, tt, rot0, rot1):
+    """Pairs whose gamma term at one shift may differ from +0.0.
+
+    The term is sum over q of S0 * S1, times tt = T0 * T1.  It is +0.0 when
+    that sum is finite and either tt is 0 everywhere, or at each rotation
+    and point one spatial factor is exactly 0: outside its cone, or inside
+    it where the Gaussian underflows.  Every test is a proof for all pair
+    scales, not a threshold, and a sum that could overflow (to inf, or NaN
+    through inf * 0) keeps every pair.  So does a callable kernel.
+    """
+    n = len(tt)
+    if not isinstance(kernel, GcmParams):
+        return np.ones(n, dtype=bool)
+    # |dp|, |dm| <= s * (|ux| + |uy|) bound each S by (s * radius)**(l + m).
+    radii = [float(np.max(abs(ux) + abs(uy))) * s_sp.max() * (1 + _SLACK) for ux, uy in (rot0, rot1)]
+    bits = math.log2(len(rot0[0])) + (kernel.l + kernel.m) * sum(
+        math.log2(max(r, 1.0)) for r in radii)
+    if not bits < 1000:  # also a NaN or infinite coordinate
+        return np.ones(n, dtype=bool)
+    floor = 2.0**-1000 / s_sp.min()
+    overlap = _maybe_in_cone(kernel.cone, *rot0, floor) & _maybe_in_cone(kernel.cone, *rot1, floor)
+    if not overlap.any():
+        return np.zeros(n, dtype=bool)
+    live = (tt != 0).reshape(n, -1).any(axis=1)
+    for ux, uy in (rot0, rot1):
+        live &= ~_underflows(kernel, s_sp, ux, uy, overlap)
+    return live
+
+
 def _gamma_correction(disc: Discretization, kernel, logr, phi, logw):
     """Off-grid correction: lattice sum of sqrt(Gamma(u) * Gamma(-u)).
 
     The inner supremum uses a strided subgrid of the search box, which
     under-estimates the correction; reports stay labeled as estimates.
+    Only the pairs _live_pairs keeps are evaluated at a shift, and the
+    unshifted factors only once some shift keeps a pair.
     """
     stride = disc.gamma_stride
-    kx, ky, w = _box_coords(logr[::stride], phi[::stride], logw[::stride])
-    pairs = list(product(disc.scale_indices(), repeat=2))
-    unshifted = list(_term_factors(kernel, disc, pairs, kx, ky, w))  # shared by every shift
+    kx, ky, w = box = _box_coords(logr[::stride], phi[::stride], logw[::stride])
+    s_sp, s_t = scales = _lattice(disc)
+    t0 = _temporal(kernel, s_t, w)
+    rot0 = _rotated(disc, kx, ky)
     steps = (disc.b_x0, disc.b_y0, disc.tau0)
+
+    @cache
+    def unshifted():
+        """Spatial magnitudes of every pair on the box, (pairs, q, *points)."""
+        stack = None
+        for rows, chunks in _lattice_batches(kernel, disc, scales, *box):
+            for qs, S in chunks:
+                if stack is None:
+                    stack = np.empty((len(s_sp), len(rot0[0])) + S.shape[2:])
+                stack[rows, qs] = S
+        return stack
 
     @cache
     def gamma_at(m):
         """Gamma at translation-lattice point m: the box maximum of the lattice
         sum of |K(k)| * |K(k - b)|, with b = 2*pi*m / steps."""
         bx, by, tau = (2 * math.pi * i / step for i, step in zip(m, steps))
-        shifted = _term_factors(kernel, disc, pairs, kx - bx, ky - by, w - tau)
-        total = sum(np.sum(s0 * s1, axis=0) * (t0 * t1)
-                    for (s0, t0), (s1, t1) in zip(unshifted, shifted))
+        shifted = (kx - bx, ky - by, w - tau)
+        tt = t0 * _temporal(kernel, s_t, shifted[2])
+        live = np.flatnonzero(_live_pairs(kernel, s_sp, tt, rot0, _rotated(disc, kx - bx, ky - by)))
+        if not len(live):
+            return 0.0
+        S0 = unshifted()
+        total = 0
+        for rows, chunks in _lattice_batches(kernel, disc, (s_sp[live], s_t[live]), *shifted):
+            folded = _fold_q(chunks, lambda qs, S: S0[live[rows], qs] * S)
+            total = _running_sum(total, folded * tt[live[rows]])
         return float(np.max(total))
 
     def corr(m):

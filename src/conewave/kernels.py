@@ -260,10 +260,15 @@ def eval_gc_2d(kx, ky, params: GcmParams):
     return _gc_profile(np.asarray(kx, dtype=float), np.asarray(ky, dtype=float), params)
 
 
-def _temporal_envelope(omega, params: GcmParams):
+def _temporal_envelope(omega, params: GcmParams, power=pow):
     """Temporal Morlet envelope exp(-0.5 (omega - omega0)**2), the one
-    temporal factor of every GCM evaluator."""
-    return np.exp(-0.5 * (omega - params.omega0) ** 2)
+    temporal factor of every GCM evaluator.
+
+    numpy squares a scalar through pow and an array by multiplication, and
+    the two can differ in the last bit; power=np.float_power gives an array
+    the rounding of scalars evaluated one at a time.
+    """
+    return np.exp(-0.5 * power(omega - params.omega0, 2))
 
 
 def eval_gcm(kx, ky, omega, params: GcmParams):

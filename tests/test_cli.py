@@ -432,6 +432,26 @@ def test_kernel_non_finite_parameter_exits_2_and_writes_nothing(tmp_path, flags)
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("kind", ["gc2d", "morlet2d", "cauchy2d"])
+def test_kernel_ignores_group_flags_it_does_not_apply(tmp_path, kind):
+    # Only gcm and centered-gcm apply the motion group: a speed of 0 elsewhere
+    # is not read, and the outputs are those of the default speed.
+    outputs = []
+    for c in ("0", "1"):
+        base = tmp_path / f"c{c}"
+        assert run("kernel", "--type", kind, "--c", c, "--grid", "4x4x1", "--out", str(base)) == 0
+        outputs.append([Path(f"{base}{suffix}").read_bytes()
+                        for suffix in ("_real.stv", "_imag.stv", ".json")])
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("kind", ["gcm", "centered-gcm"])
+def test_kernel_rejects_a_group_it_applies(tmp_path, kind):
+    code = run("kernel", "--type", kind, "--c", "0", "--grid", "4x4x1", "--out", str(tmp_path / "k"))
+    assert code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("kind", ["gc2d", "gcm"])
 @pytest.mark.parametrize("grid", ["0x4x1", "4x0x3", "4x4x0", "4x4x-2"])
 def test_kernel_grid_size_below_1_exits_2_and_writes_nothing(tmp_path, capsys, kind, grid):

@@ -1,6 +1,7 @@
 """Frame-bound estimator: lattice sums, stub tight frame, report contract."""
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from conewave.frames import (
     lambda_fn,
     tight_frame_stub,
 )
-from conewave.kernels import GcmParams, eval_gc_2d, eval_gcm
+from conewave.kernels import ConeSpec, GcmParams, _temporal_envelope, eval_gc_2d, eval_gcm
 
 
 def small_disc(**overrides):
@@ -305,3 +306,201 @@ def test_lambda_at_a_point_is_one_kernel_call(monkeypatch):
     monkeypatch.setattr(frames, "eval_gc_2d", counted)
     lambda_fn(1.5, 0.25, 2.0, Discretization(), GcmParams())
     assert calls == [(81, 16)]
+
+
+# ---------------------------------------------------------------------------
+# The batched lattice sums against per-pair references.  The references add
+# one pair at a time in pair order, as Python's sum does, and evaluate every
+# pair at every shift, so they pin the bytes that the batched sums and the
+# gamma prune must reproduce.
+
+
+def _reference_factors(kernel, disc, pairs, kx, ky, omega):
+    """(S, T) per lattice pair, one pair at a time."""
+    nd = max(np.ndim(kx), np.ndim(ky), np.ndim(omega))
+    kx, ky, omega = (np.array(v, dtype=float, ndmin=nd) for v in (kx, ky, omega))
+    qs = range(2 * disc.q1)
+    ct = np.array([math.cos(q * disc.theta0) for q in qs])
+    st = np.array([math.sin(q * disc.theta0) for q in qs])
+    ux = np.multiply.outer(ct, kx) + np.multiply.outer(st, ky)
+    uy = np.multiply.outer(-st, kx) + np.multiply.outer(ct, ky)
+    for l, n in pairs:
+        s_sp = disc.a0**l * disc.c0 ** (n / 3.0)
+        s_t = disc.a0**l * disc.c0 ** (-2.0 * n / 3.0)
+        if isinstance(kernel, GcmParams):
+            yield (np.abs(eval_gc_2d(s_sp * ux, s_sp * uy, kernel)),
+                   np.abs(_temporal_envelope(s_t * omega, kernel)))
+        else:
+            yield np.abs(kernel(s_sp * ux, s_sp * uy, s_t * omega)), 1.0
+
+
+def _reference_lambda(kx, ky, omega, disc, kernel):
+    pairs = product(disc.scale_indices(), repeat=2)
+    return sum(np.sum(s**2, axis=0) * t**2
+               for s, t in _reference_factors(kernel, disc, pairs, kx, ky, omega))
+
+
+def _reference_gamma(disc, kernel):
+    logr, phi, logw = frames._search_grid(disc)
+    stride = disc.gamma_stride
+    kx, ky, w = frames._box_coords(logr[::stride], phi[::stride], logw[::stride])
+    pairs = list(product(disc.scale_indices(), repeat=2))
+    unshifted = list(_reference_factors(kernel, disc, pairs, kx, ky, w))
+    steps = (disc.b_x0, disc.b_y0, disc.tau0)
+
+    def gamma_at(m):
+        bx, by, tau = (2 * math.pi * i / step for i, step in zip(m, steps))
+        shifted = _reference_factors(kernel, disc, pairs, kx - bx, ky - by, w - tau)
+        total = sum(np.sum(s0 * s1, axis=0) * (t0 * t1)
+                    for (s0, t0), (s1, t1) in zip(unshifted, shifted))
+        return float(np.max(total))
+
+    def corr(m):
+        return math.sqrt(gamma_at(m) * gamma_at(tuple(-i for i in m)))
+
+    G = disc.gamma_range
+    total = sum((corr(m) for m in product(range(-G, G + 1), repeat=3) if m != (0, 0, 0)), 0.0)
+    tail = max(corr(m) for m in [(G + 1, 0, 0), (0, G + 1, 0), (0, 0, G + 1)])
+    return total, tail
+
+
+def _same_bytes(got, want):
+    return type(got) is type(want) and np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def _generic_kernel(kx, ky, w):
+    # Positive everywhere, so that every rotation adds to the q sums, and it
+    # does not factor into a spatial and a temporal part.
+    return np.exp(-0.1 * ((kx - 2.0) ** 2 + ky**2) - 0.25 * (w - 2.0) ** 2) * (1.5 + np.tanh(ky * w))
+
+
+_LAMBDA_KERNELS = [GcmParams(), GcmParams(l=3, m=4, sigma=1.5, cone=ConeSpec(alpha=math.pi / 4)),
+                   _generic_kernel]
+
+
+def _random_points(rng):
+    """Single points, and grids of a few shapes, some broadcasting."""
+    def draw(shape):
+        return (rng.uniform(-4.0, 4.0, shape), rng.uniform(-4.0, 4.0, shape),
+                rng.uniform(0.0, 6.0, shape))
+
+    points = [tuple(float(v) for v in draw(())) for _ in range(24)]
+    # At this point the default lattice sum changes in the last bit when its
+    # temporal factors are squared by multiplication instead of through pow.
+    points.append((-1.1015363961234472, -0.6604151023649614, 3.248459901780987))
+    for shape in ((2,), (7,), (3, 1, 1), (2, 3, 4)):
+        points.append(draw(shape))
+    kx, ky, w = draw((5,))
+    points.append((kx[:, None, None], ky[None, :, None], w[None, None, :4]))
+    points.append((np.array(kx[0]), ky[:3], 2.0))  # a 0-d array with a 1-d one
+    return points
+
+
+@pytest.mark.parametrize("kernel", _LAMBDA_KERNELS, ids=["gcm", "gcm-wide", "callable"])
+@pytest.mark.parametrize("budget", [None, 40, 1])
+def test_lambda_matches_the_per_pair_sum_bit_for_bit(kernel, budget, monkeypatch):
+    if budget is not None:  # batches of a few pairs, or of one pair and one rotation
+        monkeypatch.setattr(frames, "_BATCH_POINTS", budget)
+    rng = np.random.default_rng(21)
+    for disc in (Discretization(), Discretization(q1=3, scale_range=2, a0=1.5, c0=3.0)):
+        for kx, ky, w in _random_points(rng):
+            got = lambda_fn(kx, ky, w, disc, kernel)
+            assert _same_bytes(got, _reference_lambda(kx, ky, w, disc, kernel)), (disc, kx, ky, w)
+
+
+def test_lambda_at_a_point_is_one_cumsum_over_its_pairs(monkeypatch):
+    # The point value adds its 81 pair terms without a Python step per pair.
+    sums = []
+    real_cumsum = np.cumsum
+
+    def counted(a, *args, **kwargs):
+        sums.append(np.shape(a))
+        return real_cumsum(a, *args, **kwargs)
+
+    monkeypatch.setattr(frames.np, "cumsum", counted)
+    got = lambda_fn(1.5, 0.25, 2.0, Discretization(), GcmParams())
+    monkeypatch.undo()
+    assert sums == [(81,)]
+    assert _same_bytes(got, _reference_lambda(1.5, 0.25, 2.0, Discretization(), GcmParams()))
+
+
+def _gamma_cases():
+    wide = GcmParams(l=3, m=4, sigma=1.5, cone=ConeSpec(alpha=math.pi / 4))
+    return {
+        "defaults": (Discretization(), GcmParams()),
+        # The digest's steps, where gamma is not negligible.
+        "digest": (Discretization(q1=4, scale_range=1, grid_size=8, gamma_stride=2,
+                                  b_x0=2.0, b_y0=2.0, tau0=2.0), wide),
+        # Spatial shifts vanish, temporal ones do not.
+        "spatial-vanishes": (small_disc(b_x0=0.004, b_y0=0.004, tau0=2.0), GcmParams()),
+        # Temporal shifts vanish, spatial ones do not.
+        "temporal-vanishes": (small_disc(b_x0=20.0, b_y0=20.0, tau0=0.001), GcmParams()),
+        "mixed": (small_disc(b_x0=0.3, b_y0=0.5, tau0=0.4), GcmParams()),
+        # Shifted GC powers overflow, so inf * 0 turns gamma into NaN: no prune.
+        "overflow": (small_disc(b_x0=1e-25, b_y0=1e-25, tau0=2.0), GcmParams()),
+    }
+
+
+@pytest.mark.parametrize("case", list(_gamma_cases()))
+def test_pruned_gamma_matches_the_unpruned_sum_bit_for_bit(case):
+    disc, kernel = _gamma_cases()[case]
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = frames._gamma_correction(disc, kernel, *frames._search_grid(disc))
+        want = _reference_gamma(disc, kernel)
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+    if case in ("digest", "spatial-vanishes", "temporal-vanishes", "mixed"):
+        assert got[0] > 0.0  # the kept shifts carry weight
+    if case == "overflow":
+        assert math.isnan(got[0])
+
+
+def _gc_points_in_gamma(disc, kernel, monkeypatch):
+    points = []
+
+    def counted(kx, ky, params):
+        out = eval_gc_2d(kx, ky, params)
+        points.append(out.size)
+        return out
+
+    monkeypatch.setattr(frames, "eval_gc_2d", counted)
+    frames._gamma_correction(disc, kernel, *frames._search_grid(disc))
+    monkeypatch.undo()
+    return sum(points)
+
+
+def _full_gamma_points(disc):
+    """Kernel points of an unpruned gamma: the unshifted box and 32 shifts."""
+    box = (len(range(0, disc.grid_size, disc.gamma_stride))) ** 2
+    pairs = (2 * disc.scale_range + 1) ** 2
+    return (1 + 26 + 6) * pairs * 2 * disc.q1 * box
+
+
+def test_default_gamma_evaluates_no_kernel(monkeypatch):
+    # Every shift is proved zero, and the unshifted factors are never formed.
+    assert _gc_points_in_gamma(Discretization(), GcmParams(), monkeypatch) == 0
+
+
+@pytest.mark.parametrize("case", ["spatial-vanishes", "temporal-vanishes"])
+def test_vanishing_shifts_are_pruned(case, monkeypatch):
+    disc, kernel = _gamma_cases()[case]
+    assert 0 < _gc_points_in_gamma(disc, kernel, monkeypatch) < _full_gamma_points(disc) // 2
+
+
+def test_overflowing_shifts_take_the_full_path(monkeypatch):
+    disc, kernel = _gamma_cases()["overflow"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _gc_points_in_gamma(disc, kernel, monkeypatch) == _full_gamma_points(disc)
+
+
+def test_callable_gamma_takes_the_full_path():
+    disc = small_disc()
+    points = []
+
+    def kernel(kx, ky, w):
+        out = eval_gcm(kx, ky, w, GcmParams())
+        points.append(out.size)
+        return out
+
+    frames._gamma_correction(disc, kernel, *frames._search_grid(disc))
+    # A callable's points include the temporal axis of the box.
+    assert sum(points) == _full_gamma_points(disc) * len(range(0, disc.grid_size, disc.gamma_stride))
