@@ -150,6 +150,8 @@ def cmd_scan(args) -> int:
     footers = [f"# v_m={curve.v_m!r}"]
     if curve.no_motion:
         footers.append("# no_detectable_motion=1")
+    if curve.unbracketed:
+        footers.append("# unbracketed=1")
     stvio.write_csv(args.out, "c,energy", curve.samples, footers)
     print(f"wrote {args.out}: v_m={curve.v_m}, peak={curve.peak_energy!r}")
     return EXIT_NO_MOTION if curve.no_motion else EXIT_OK

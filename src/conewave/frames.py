@@ -54,6 +54,9 @@ from .speedscan import golden_section_maximize
 ESTIMATE_LABEL = "estimate, not certificate"
 _BATCH_POINTS = 2**18  # kernel points per batch of lattice pairs (at least one pair)
 _POLISH_TOL = 1e-4  # golden-section tolerance of the polish, in grid cells
+# B/A is the condition number of the frame operator; inverting it at a
+# larger ratio loses more than 12 of the 16 digits of double precision.
+ILL_CONDITIONED_RATIO = 1e12
 
 
 @dataclass(frozen=True)
@@ -108,7 +111,14 @@ class Discretization:
 
 @dataclass
 class FrameBoundReport:
-    """Estimated frame bounds with truncation diagnostics."""
+    """Estimated frame bounds with truncation diagnostics.
+
+    ill_conditioned tags a report whose bounds mean nothing numerically:
+    lambda_minus is no larger than the truncation tail lambda_tail, so the
+    sums cannot resolve it, or B/A exceeds ILL_CONDITIONED_RATIO (an
+    invalid frame's ratio is infinite).  valid_frame still says only that
+    the lower bound is positive.
+    """
 
     lambda_minus: float
     lambda_plus: float
@@ -117,6 +127,7 @@ class FrameBoundReport:
     upper_bound: float
     ratio: float
     valid_frame: bool
+    ill_conditioned: bool
     lambda_tail: float
     gamma_tail: float
     grid_size: int
@@ -498,6 +509,7 @@ def estimate_bounds(disc: Discretization, kernel) -> FrameBoundReport:
         upper_bound=upper,
         ratio=ratio,
         valid_frame=valid,
+        ill_conditioned=lam_minus <= lam_tail or not ratio <= ILL_CONDITIONED_RATIO,
         lambda_tail=lam_tail,
         gamma_tail=gamma_tail,
         grid_size=disc.grid_size,

@@ -130,6 +130,14 @@ class EnergyCurve:
     no_motion: bool = False
 
     @property
+    def unbracketed(self) -> bool:
+        """Whether the grid peak of a curve with motion sits on the first or
+        last speed, so that the true speed may lie outside the grid and v_m
+        is only a bound."""
+        peak_idx = int(np.argmax(self.energies))
+        return not self.no_motion and peak_idx in (0, len(self.energies) - 1)
+
+    @property
     def samples(self) -> list[tuple[float, float]]:
         return [(float(c), float(e)) for c, e in zip(self.c_values, self.energies)]
 
@@ -171,9 +179,9 @@ def _scan_spectrum(spectrum: SpectrumVolume, config: ScanConfig, energy: float) 
 def _scans(seq: SequenceVolume, configs) -> list[EnergyCurve]:
     """One speed scan per config, all on one shared spectrum of seq.
 
-    The total energy is formed here once for every tuning of every scan; the
-    spectrum forms its power on the first Parseval read.  Both are dropped on
-    return.
+    The total energy is formed here once for every tuning of every scan, as
+    the sum of the spectrum's power, which every Parseval read then shares.
+    Both are dropped on return.
     """
     spectrum = forward_fft3(seq)
     energy = spectrum.energy()

@@ -8,6 +8,16 @@ Parseval hold with constant 1, so total energies can be read directly off
 the spectrum without any inverse transform; that shortcut is the engine's
 main optimization and is oracle-checked in the tests.
 
+The input is real, so its spectrum is Hermitian, X(k, omega) =
+conj X(-k, -omega), and the forward transform is one rfftn: the half
+spectrum of the bins omega = 0 .. nt // 2.  The full-size power that every
+tuning contracts against is formed from that half in one pass, and its
+bins omega > nt // 2 are mirrored, P(k, omega) = P(-k, -omega).  The
+omega = 0 plane, and for an even nt the Nyquist plane omega = nt // 2, are
+their own mirror images, so each is taken from the half once and never
+mirrored.  The full complex spectrum is formed, the same way, only for the
+inverse-FFT path, which a scan over all frames never takes.
+
 Two sampling conventions, both documented here because they are easy to
 get wrong:
 
@@ -68,12 +78,11 @@ class _Sampled:
     with every size at least 2 and that its sample pitches are finite and
     positive."""
 
-    def __post_init__(self):
-        shape = np.shape(self.data)
-        if len(shape) != 3:
-            raise ValueError(f"expected a 3D volume, got shape {shape}")
-        if min(shape) < 2:
-            raise ValueError(f"all grid sizes must be >= 2, got {shape}")
+    def _check_grid(self):
+        if len(self.shape) != 3:
+            raise ValueError(f"expected a 3D volume, got shape {self.shape}")
+        if min(self.shape) < 2:
+            raise ValueError(f"all grid sizes must be >= 2, got {self.shape}")
         for name in ("pixel_pitch", "frame_pitch"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
@@ -81,15 +90,15 @@ class _Sampled:
 
     @property
     def nx(self) -> int:
-        return self.data.shape[0]
+        return self.shape[0]
 
     @property
     def ny(self) -> int:
-        return self.data.shape[1]
+        return self.shape[1]
 
     @property
     def nt(self) -> int:
-        return self.data.shape[2]
+        return self.shape[2]
 
 
 @dataclass
@@ -107,42 +116,79 @@ class SequenceVolume(_Sampled):
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.float64)
-        super().__post_init__()
+        self._check_grid()
         if not np.all(np.isfinite(self.data)):
             raise ValueError("sequence contains non-finite samples")
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.data.shape
 
     def energy(self) -> float:
         return float(np.sum(self.data**2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class SpectrumVolume(_Sampled):
     """Complex 3D spectrum on the discrete (kx, ky, omega) grid.
 
     Samples are stored in natural FFT order; the kx/ky/omega accessors
     return the angular frequency 2*pi*i/N of every bin (i in
     [-N/2, N/2)), so each sample is logically indexed by its frequency.
-    The shape and pitches are checked as for SequenceVolume.  data is a
-    read-only view, so the cached power cannot go stale.
+    The shape and pitches are checked as for SequenceVolume.
+
+    SpectrumVolume(data) holds any complex array as it is.  The spectrum
+    of a real sequence (forward_fft3) holds only its rfftn half, the bins
+    omega = 0 .. nt // 2, and forms the full data, mirrored from the half,
+    only when data is read; a scan never reads it.  data is read-only
+    either way, so the cached power cannot go stale.
     """
 
-    data: np.ndarray
     pixel_pitch: float = 1.0
     frame_pitch: float = 1.0
 
-    def __post_init__(self):
-        super().__post_init__()
-        data = np.asarray(self.data).view()
-        data.flags.writeable = False
-        object.__setattr__(self, "data", data)
+    def __init__(self, data, pixel_pitch: float = 1.0, frame_pitch: float = 1.0):
+        data = _read_only(np.asarray(data).view())
+        self._set(data.shape, pixel_pitch, frame_pitch, _half=None, data=data)
+
+    @classmethod
+    def _of_real(cls, half: np.ndarray, nt: int, pixel_pitch: float, frame_pitch: float):
+        """The spectrum of a real (nx, ny, nt) sequence from its rfftn half."""
+        spec = cls.__new__(cls)
+        spec._set(half.shape[:2] + (nt,), pixel_pitch, frame_pitch, _half=half)
+        return spec
+
+    def _set(self, shape, pixel_pitch, frame_pitch, **arrays):
+        values = dict(shape=shape, pixel_pitch=pixel_pitch, frame_pitch=frame_pitch, **arrays)
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+        self._check_grid()
+
+    @cached_property
+    def data(self) -> np.ndarray:
+        """The full complex spectrum; a real sequence's is mirrored from its
+        half on first read, X(k, omega) = conj X(-k, -omega)."""
+        full = np.empty(self.shape, dtype=self._half.dtype)
+        full[:, :, :self._half.shape[2]] = self._half
+        _mirror_tail(full, conj=True)
+        return _read_only(full)
 
     @cached_property
     def power(self) -> np.ndarray:
         """|data|^2, formed on first use and shared by every tuning read off
         this spectrum.  It is C-ordered whatever the layout of data (a
         volume read from STV is Fortran-ordered), so the Parseval path
-        reshapes it to (nx * ny, nt) without a copy."""
-        return np.ascontiguousarray(self.data.real**2 + self.data.imag**2)
+        reshapes it to (nx * ny, nt) without a copy.  A real sequence's is
+        formed from its half in one pass, and mirrored: P(k, omega) =
+        P(-k, -omega)."""
+        if self._half is None:
+            return np.ascontiguousarray(self.data.real**2 + self.data.imag**2)
+        full = np.empty(self.shape)
+        head = full[:, :, :self._half.shape[2]]
+        np.square(self._half.real, out=head)
+        head += self._half.imag**2
+        _mirror_tail(full, conj=False)
+        return full
 
     def kx(self) -> np.ndarray:
         return _angular_frequencies(self.nx, self.pixel_pitch)
@@ -154,7 +200,25 @@ class SpectrumVolume(_Sampled):
         return _angular_frequencies(self.nt, self.frame_pitch)
 
     def energy(self) -> float:
-        return float(np.sum(np.abs(self.data) ** 2))
+        return float(np.sum(self.power))
+
+
+def _mirror_tail(full: np.ndarray, conj: bool) -> None:
+    """Fill the omega bins nt // 2 + 1 .. nt - 1 of an (nx, ny, nt) volume,
+    in place, from its bins 1 .. (nt - 1) // 2 reflected through the
+    origin: full[k, omega] = full[-k, -omega], conjugated if conj.  The
+    omega = 0 plane, and the Nyquist plane of an even nt, are their own
+    mirror images and are already in the rfftn half, so each is counted
+    once."""
+    nt = full.shape[2]
+    src, dst = full[:, :, (nt - 1) // 2:0:-1], full[:, :, nt // 2 + 1:]
+    # Index i maps to -i mod n: 0 to itself, 1 .. n - 1 to n - 1 .. 1.
+    dst[0, 0] = src[0, 0]
+    dst[0, 1:] = src[0, :0:-1]
+    dst[1:, 0] = src[:0:-1, 0]
+    dst[1:, 1:] = src[:0:-1, :0:-1]
+    if conj:
+        np.conjugate(dst, out=dst)
 
 
 def _angular_frequencies(n: int, pitch: float) -> np.ndarray:
@@ -175,14 +239,16 @@ class WaveletCoefficients:
 
 
 def forward_fft3(seq: SequenceVolume) -> SpectrumVolume:
-    """Unitary 3D DFT of a sequence (Parseval holds with constant 1)."""
+    """Unitary 3D DFT of a sequence (Parseval holds with constant 1).
+
+    The input is real, so one rfftn computes the half spectrum omega = 0 ..
+    nt // 2; the spectrum mirrors the rest when it needs it."""
     global _fft_calls
     if not np.all(np.isfinite(seq.data)):
         raise ValueError("sequence contains non-finite samples")
     _fft_calls += 1
-    return SpectrumVolume(
-        np.fft.fftn(seq.data, norm="ortho"), seq.pixel_pitch, seq.frame_pitch
-    )
+    return SpectrumVolume._of_real(np.fft.rfftn(seq.data, norm="ortho"), seq.nt,
+                                   seq.pixel_pitch, seq.frame_pitch)
 
 
 def inverse_fft3(spec: SpectrumVolume) -> np.ndarray:

@@ -1,7 +1,9 @@
-"""Print one SHA-256 over fixed, seeded conewave outputs.
+"""Print two SHA-256 digests over fixed, seeded conewave outputs: one over
+their bytes, and one over the decisions taken from them.
 
 A change that must keep every output bit-identical runs this script on the
-parent commit and on the change, and compares the two digests:
+parent commit and on the change, and compares the first digests; a change
+that may move energies in their last bits compares the second ones:
 
     python tests/digest_outputs.py
 
@@ -19,14 +21,27 @@ C- and Fortran-ordered copies of one scene, the spatial and temporal
 factors of `tuned_filter_factors` over awkward tunings, the
 library frame-bound reports and lambda sums for a GCM and for a generic
 callable kernel, and the kernel evaluators on a point set holding signed
-zeros, infinities, NaN, 1e300 and python floats.  The digest of each part
-goes to stderr, so that a mismatch can be traced to its part.  Pytest does
-not collect this file.  It runs in well under a minute.
+zeros, infinities, NaN, 1e300 and python floats.
+
+The decision digest covers, of the same runs, every exit code; each scan's
+v_m, no-motion flag, grid peak index and unbracketed verdict; the v_m of
+every orient-scan and aperture-sweep row, and orient-scan's best angle by
+the peak_energy column; and every frame-bound report with its
+conditioning verdict.  The verdicts are derived from the outputs (a grid
+peak on an end of a curve with motion; lambda_minus within lambda_tail or
+B/A above 1e12), so the digest reads the same on a version that does not
+report them; where a version does report one, the script checks that it
+agrees and fails otherwise.
+
+The digest of each part goes to stderr, so that a mismatch can be traced
+to its part.  Pytest does not collect this file.  It runs in well under a
+minute.
 """
 
 import contextlib
 import hashlib
 import io
+import json
 import math
 import os
 import sys
@@ -50,9 +65,9 @@ from conewave.kernels import (  # noqa: E402
     eval_gcm,
     tuned_temporal,
 )
-from conewave.speedscan import ScanConfig, scan_speeds  # noqa: E402
+from conewave.speedscan import EnergyCurve, ScanConfig, scan_speeds  # noqa: E402
 from conewave.stcwt import SequenceVolume, SpectrumVolume, tuned_filter_factors  # noqa: E402
-from conewave.stvio import write_stv  # noqa: E402
+from conewave.stvio import read_csv, write_stv  # noqa: E402
 from conewave.synth import GaussianSceneSpec, generate  # noqa: E402
 
 SHAPES = ("64x64x16", "53x71x13", "48x90x20")
@@ -73,25 +88,73 @@ KERNELS = (
 
 
 class Digest:
-    def __init__(self):
+    def __init__(self, label=""):
         self.total = hashlib.sha256()
+        self.label = label
 
     def add(self, name, *chunks):
         part = hashlib.sha256()
         for chunk in chunks:
             part.update(chunk if isinstance(chunk, bytes) else repr(chunk).encode())
         self.total.update(name.encode() + b"\0" + part.digest())
-        print(f"{part.hexdigest()}  {name}", file=sys.stderr)
+        print(f"{part.hexdigest()}  {self.label}{name}", file=sys.stderr)
+
+
+DECISIONS = Digest("decisions: ")
+ILL_CONDITIONED_RATIO = 1e12
+
+
+def unbracketed(energies, no_motion, reported=None):
+    """Grid peak index and the unbracketed verdict of a curve, checked
+    against the verdict the program reports, if it reports one."""
+    peak = int(np.argmax(energies))
+    verdict = not no_motion and peak in (0, len(energies) - 1)
+    if reported is not None and reported != verdict:
+        raise AssertionError(f"unbracketed reported {reported}, derived {verdict}")
+    return peak, verdict
+
+
+def report_decisions(text):
+    """A frame-bound report without its conditioning field, and the
+    conditioning verdict derived from it (checked against the field)."""
+    report = json.loads(text)
+    reported = report.pop("ill_conditioned", None)
+    ratio = report["ratio"]
+    verdict = (report["lambda_minus"] <= report["lambda_tail"]
+               or ratio is None or not ratio <= ILL_CONDITIONED_RATIO)
+    if reported is not None and reported != verdict:
+        raise AssertionError(f"ill_conditioned reported {reported}, derived {verdict}")
+    return json.dumps(report, sort_keys=True), verdict
+
+
+def cli_decisions(command, code, outputs):
+    if command in ("scan", "orient-scan", "aperture-sweep") and os.path.exists(outputs[0]):
+        _, rows, meta = read_csv(outputs[0])
+        if command == "scan":
+            no_motion = meta.get("no_detectable_motion") == "1"
+            reported = (meta.get("unbracketed") == "1"
+                        if hasattr(EnergyCurve, "unbracketed") else None)
+            return (code, meta["v_m"], no_motion,
+                    unbracketed([float(r[1]) for r in rows], no_motion, reported))
+        v_ms = [r[1] for r in rows]
+        if command == "aperture-sweep":
+            return code, v_ms
+        return code, v_ms, max(rows, key=lambda r: float(r[2]))[0]
+    if command == "frame-bounds" and os.path.exists(outputs[0]):
+        return code, report_decisions(Path(outputs[0]).read_text())
+    return (code,)
 
 
 def run_cli(digest, name, argv, outputs):
-    """Run one CLI command and digest its exit code, stdout and output files."""
+    """Run one CLI command and digest its exit code, stdout and output
+    files, and its decisions."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(argv)
     files = [Path(path).read_bytes() if os.path.exists(path) else b"<missing>"
              for path in outputs]
     digest.add(name, code, out.getvalue(), *files)
+    DECISIONS.add(name, cli_decisions(argv[0], code, outputs))
 
 
 def default_outputs(digest):
@@ -160,7 +223,9 @@ def frame_outputs(digest):
         core, tail = lambda_fn(kx, ky, w, disc, kernel, with_tail=True)
         digest.add(f"lambda_fn {name}", _value_bytes(core), tail,
                    _value_bytes(lambda_fn(1.5, 0.25, 2.0, disc, kernel)))
-        digest.add(f"estimate_bounds {name}", estimate_bounds(disc, kernel).to_json())
+        report = estimate_bounds(disc, kernel).to_json()
+        digest.add(f"estimate_bounds {name}", report)
+        DECISIONS.add(f"estimate_bounds {name}", report_decisions(report))
 
 
 def kernel_outputs(digest):
@@ -183,6 +248,12 @@ def kernel_outputs(digest):
                    _value_bytes(params.cone.contains(px, py)))
 
 
+def add_curve_decisions(name, curve):
+    DECISIONS.add(name, curve.v_m, curve.no_motion,
+                  unbracketed(curve.energies, curve.no_motion,
+                              getattr(curve, "unbracketed", None)))
+
+
 def library_outputs(digest):
     scenes = (
         ("scan_speeds 256x256x64", GaussianSceneSpec(nx=256, ny=256, nt=64, v_r=2.5,
@@ -196,6 +267,7 @@ def library_outputs(digest):
         curve = scan_speeds(generate(spec), ScanConfig(frame_range=frame_range))
         digest.add(name, curve.c_values.tobytes(), curve.energies.tobytes(),
                    curve.v_m, curve.peak_energy, curve.no_motion)
+        add_curve_decisions(name, curve)
     data = generate(GaussianSceneSpec(nx=53, ny=71, nt=13, v_r=4.0, motion_angle=-1.1,
                                       pattern_angle=-1.1, noise_sigma=0.05, seed=5)).data
     for layout in (np.ascontiguousarray, np.asfortranarray):
@@ -203,6 +275,7 @@ def library_outputs(digest):
                             ScanConfig(theta=-1.1, refine="golden-section"))
         digest.add(f"scan_speeds {layout.__name__}", curve.energies.tobytes(), curve.v_m,
                    curve.peak_energy, curve.no_motion)
+        add_curve_decisions(f"scan_speeds {layout.__name__}", curve)
 
 
 def factor_outputs(digest):
@@ -242,6 +315,7 @@ def main():
     with np.errstate(all="ignore"):  # inf - inf and overflow are part of the point set
         kernel_outputs(digest)
     print(digest.total.hexdigest())
+    print(f"{DECISIONS.total.hexdigest()}  decisions")
 
 
 if __name__ == "__main__":

@@ -239,6 +239,18 @@ def test_scan_benchmark_footer(benchmark_file, tmp_path):
     assert header == ["c", "energy"]
     assert len(rows) == 21
     assert abs(float(meta["v_m"]) - 3.0) <= 0.25
+    assert "unbracketed" not in meta
+
+
+@pytest.mark.parametrize("speed", ["0.5", "7.5"])
+def test_scan_of_an_out_of_grid_speed_writes_the_unbracketed_footer(tmp_path, speed):
+    scene, out = tmp_path / "fast.stv", tmp_path / "fast.csv"
+    assert run("synth", "--size", "64x64x16", "--speed", speed, "--out", str(scene)) == 0
+    # The exit code stays 0; only the footer tells.
+    assert run("scan", "--in", str(scene), "--refine", "--out", str(out)) == 0
+    _, _, meta = read_csv(out)
+    assert meta["unbracketed"] == "1"
+    assert "no_detectable_motion" not in meta
 
 
 def test_scan_is_byte_deterministic(benchmark_file, tmp_path):
@@ -289,6 +301,7 @@ def test_scan_constant_volume_exits_4(tmp_path):
     assert run("scan", "--in", str(vol), "--out", str(out)) == 4
     _, _, meta = read_csv(out)
     assert meta["no_detectable_motion"] == "1"
+    assert "unbracketed" not in meta
 
 
 # ---------------------------------------------------------------------------

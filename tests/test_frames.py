@@ -1,5 +1,6 @@
 """Frame-bound estimator: lattice sums, stub tight frame, report contract."""
 
+import json
 import math
 from itertools import product
 
@@ -155,8 +156,6 @@ def test_report_determinism():
 
 
 def test_report_json_round_trip():
-    import json
-
     rep = estimate_bounds(small_disc(), GcmParams())
     payload = json.loads(rep.to_json())
     assert payload["grid_size"] == 12
@@ -504,3 +503,58 @@ def test_callable_gamma_takes_the_full_path():
     frames._gamma_correction(disc, kernel, *frames._search_grid(disc))
     # A callable's points include the temporal axis of the box.
     assert sum(points) == _full_gamma_points(disc) * len(range(0, disc.grid_size, disc.gamma_stride))
+
+
+# ---------------------------------------------------------------------------
+# conditioning tag
+
+
+def test_default_report_is_valid_but_ill_conditioned():
+    rep = estimate_bounds(Discretization(), GcmParams())
+    assert rep.valid_frame and rep.ill_conditioned
+    assert rep.lambda_minus <= rep.lambda_tail
+    assert rep.ratio > frames.ILL_CONDITIONED_RATIO
+    assert json.loads(rep.to_json())["ill_conditioned"] is True
+
+
+def test_small_well_conditioned_family_is_not_tagged():
+    wide = GcmParams(l=2, m=2, cone=ConeSpec(alpha=math.pi / 4))
+    disc = Discretization(q1=4, a0=math.sqrt(2), c0=math.sqrt(2), scale_range=3, grid_size=8)
+    rep = estimate_bounds(disc, wide)
+    assert rep.lambda_minus > rep.lambda_tail and rep.ratio < 2.0
+    assert rep.valid_frame and not rep.ill_conditioned
+    assert json.loads(rep.to_json())["ill_conditioned"] is False
+
+
+def test_a_lower_bound_within_the_truncation_tail_is_ill_conditioned():
+    # One scale and speed: the tail is about 0.29, larger than lambda_minus,
+    # though B/A is only about 26.
+    wide = GcmParams(l=2, m=2, cone=ConeSpec(alpha=math.pi / 4))
+    disc = Discretization(q1=4, a0=math.sqrt(2), c0=math.sqrt(2), scale_range=0, grid_size=8)
+    rep = estimate_bounds(disc, wide)
+    assert rep.lambda_minus <= rep.lambda_tail and rep.ratio < 100.0
+    assert rep.ill_conditioned
+
+
+@pytest.mark.parametrize("floor, ill", [(1e-7, True), (1e-5, False)])
+def test_a_huge_ratio_alone_is_ill_conditioned(floor, ill):
+    # The stub's cell tiles the lattice once, so Lambda at a point is the
+    # square of this factor at the point's image in the cell: 1 on half of
+    # the cell's angular sector and floor on the other.  The tail is 0, so
+    # B/A, about floor**-2, decides alone.
+    disc = small_disc(grid_size=8, scale_range=2, gamma_stride=2)
+    stub = tight_frame_stub(disc)
+
+    def kernel(kx, ky, w):
+        phi = np.mod(np.arctan2(ky, kx), 2 * math.pi)
+        return stub(kx, ky, w) * np.where(phi < disc.theta0 / 2, 1.0, floor)
+
+    rep = estimate_bounds(disc, kernel)
+    assert rep.valid_frame and rep.lambda_tail == 0.0 < rep.lambda_minus
+    assert rep.ratio == pytest.approx(floor**-2, rel=1e-9)
+    assert rep.ill_conditioned is ill
+
+
+def test_an_invalid_frame_is_ill_conditioned():
+    rep = estimate_bounds(small_disc(b_x0=2.0, b_y0=2.0, tau0=2.0), GcmParams())
+    assert not rep.valid_frame and rep.ill_conditioned

@@ -179,6 +179,25 @@ def test_energy_curve_samples_property():
     assert curve.samples == [(1.0, 0.5), (2.0, 1.5)]
 
 
+@pytest.mark.parametrize("v_r, unbracketed", [(0.5, True), (3.0, False), (7.5, True)])
+def test_out_of_grid_speeds_are_unbracketed(v_r, unbracketed):
+    # Both out-of-grid scenes peak at c_max = 6; only the in-grid one is bracketed.
+    curve = scan_speeds(benchmark_scene(v_r), ScanConfig())
+    assert curve.unbracketed is unbracketed
+    assert (curve.v_m == 6.0) is unbracketed and not curve.no_motion
+
+
+@pytest.mark.parametrize("energies, no_motion, unbracketed", [
+    ([3.0, 2.0, 1.0], False, True), ([1.0, 2.0, 3.0], False, True),
+    ([1.0, 3.0, 2.0], False, False), ([3.0, 2.0, 1.0], True, False),
+    ([2.0, 2.0, 2.0], True, False), ([2.0, 3.0, 3.0], False, False),
+])
+def test_unbracketed_is_a_peak_on_a_grid_end_with_motion(energies, no_motion, unbracketed):
+    # The first index of a tie is the peak, as for v_m.
+    curve = EnergyCurve(np.array([1.0, 2.0, 3.0]), np.array(energies), 0.0, 0.0, no_motion)
+    assert curve.unbracketed is unbracketed
+
+
 # ---------------------------------------------------------------------------
 # orientation scans
 

@@ -6,7 +6,7 @@ from dataclasses import FrozenInstanceError
 import numpy as np
 import pytest
 
-from conewave import stcwt
+from conewave import speedscan, stcwt
 from conewave.kernels import (
     SPEED_EXPONENT_SPATIAL,
     SPEED_EXPONENT_TEMPORAL,
@@ -437,3 +437,31 @@ def test_scan_reads_the_same_energies_off_c_and_fortran_ordered_input():
     assert curves[0].energies.tobytes() == curves[1].energies.tobytes()
     assert curves[0].v_m == curves[1].v_m
 
+
+# ---------------------------------------------------------------------------
+# half spectrum of a real sequence
+
+
+@pytest.mark.parametrize("refine", ["none", "golden-section"])
+def test_a_scan_never_forms_the_full_spectrum(monkeypatch, refine):
+    spectra = []
+
+    def capture(seq):
+        spectra.append(forward_fft3(seq))
+        return spectra[-1]
+
+    monkeypatch.setattr(speedscan, "forward_fft3", capture)
+    scan_speeds(random_sequence((12, 10, 7), seed=24), ScanConfig(refine=refine))
+    (spec,) = spectra
+    assert spec._half.shape == (12, 10, 4)
+    assert "power" in vars(spec) and "data" not in vars(spec)
+
+
+@pytest.mark.parametrize("nt", [2, 3, 8, 9])
+def test_forward_fft3_keeps_only_the_rfftn_half(nt):
+    seq = random_sequence((6, 5, nt), seed=25)
+    spec = forward_fft3(seq)
+    assert spec._half.tobytes() == np.fft.rfftn(seq.data, norm="ortho").tobytes()
+    assert (spec.nx, spec.ny, spec.nt) == (6, 5, nt)
+    # The kept bins are the half's own values, not mirrored ones.
+    assert spec.data[:, :, :nt // 2 + 1].tobytes() == spec._half.tobytes()
