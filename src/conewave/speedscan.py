@@ -16,6 +16,7 @@ from .kernels import ConeSpec, GcmParams, GroupElement, _require_finite
 from .stcwt import (
     SequenceVolume,
     SpectrumVolume,
+    _frame_indices,
     forward_fft3,
     tuned_energy,
     tuned_energy_detail,
@@ -94,6 +95,8 @@ class ScanConfig:
             raise ValueError(f"unknown refinement {self.refine!r}")
         if not self.refine_tol > 0:
             raise ValueError("refine_tol must be positive")
+        if self.frame_range is not None:
+            _frame_indices(self.frame_range, math.inf)  # the upper bound is the scene's
         self.params()  # the kernel and tuning types check their own fields
         self.tuning(self.c_min)
 
@@ -145,12 +148,20 @@ class EnergyCurve:
 def _scan_spectrum(spectrum: SpectrumVolume, config: ScanConfig, energy: float) -> EnergyCurve:
     """Speed scan of one spectrum: the grid energies, the dust floor and
     no-motion test, and the optional golden-section refinement.  energy is
-    the spectrum's, formed once by _scans."""
+    the spectrum's, formed once by _scans.
+
+    The frames are resolved here once; a range of all frames is passed on as
+    None, so that no tuning resolves them again.  The spectrum holds the
+    sampling geometry of the scan's first tuning, which every later tuning,
+    refinement included, reuses."""
     params = config.params()
     cs = config.speed_grid()
+    frames = config.frame_range
+    if frames is not None:
+        frames = _frame_indices(frames, spectrum.nt)
+        frames = None if frames.size == spectrum.nt else frames
     energies, gains = np.array([
-        tuned_energy_detail(spectrum, config.tuning(float(c)), params, config.frame_range)
-        for c in cs
+        tuned_energy_detail(spectrum, config.tuning(float(c)), params, frames) for c in cs
     ]).T
 
     peak_idx = int(np.argmax(energies))  # first index wins ties, smaller c
@@ -167,8 +178,7 @@ def _scan_spectrum(spectrum: SpectrumVolume, config: ScanConfig, energy: float) 
         hi = min(config.c_max, v_m + config.c_step)
 
         def objective(c):
-            return tuned_energy(spectrum, config.tuning(c), params,
-                                frame_range=config.frame_range)
+            return tuned_energy(spectrum, config.tuning(c), params, frame_range=frames)
 
         x, fx = golden_section_maximize(objective, lo, hi, config.refine_tol)
         if fx >= peak:

@@ -46,7 +46,7 @@ leakage matters.
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -311,45 +311,90 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@lru_cache(maxsize=8)
-def _cone_terms(nx: int, ny: int, pitch: float, terms: range, angle: float, alpha: float):
-    """The spatial alias terms (jx, jy) of terms x terms that can meet the
-    cone with axis angle and half-aperture alpha, each as (index into the
-    (nx, ny) grid, kx column, ky row) for its box of grid rows and columns.
+def _cone_points(kx: np.ndarray, ky: np.ndarray, k_period: float, jx: int, jy: int, normals):
+    """The bins of the grid of frequencies kx by ky at which the spatial
+    alias term (jx, jy) can meet a cone, as (flat grid index, kx, ky), or
+    None if it has none.
 
-    A term's box is the bounding box of the cone clipped to its bins grown
-    by one bin, itself grown by one bin, so that no bin that rounding puts
-    inside the cone is left out; a term whose box is empty is dropped.  The
-    box does not depend on the speed or the scales of a tuning, so every
-    tuning of a scan shares it.  The arrays are read-only, as the cache
-    hands the same ones to every caller.
+    normals are the cone's two inward edge normals: the cone is where both
+    normal . k >= 0.  A bin is kept if it lies inside or within 1e-9 of
+    |kx| + |ky| outside, a margin far wider than the rounding by which the
+    kernel's own inside test can differ, so every bin the kernel puts inside
+    is kept.  Only the bounding box of the cone clipped to the term's bins,
+    grown by one bin each way, is tested.
     """
-    k_period = 2 * np.pi / pitch
-    kx, ky = _angular_frequencies(nx, pitch), _angular_frequencies(ny, pitch)
-    hx, hy = k_period / nx, k_period / ny
-    # Inward normals of the cone's edges; alpha < pi/2, so the cone is the
-    # intersection of the two half-planes normal . k >= 0.
-    normals = ((-math.sin(angle - alpha), math.cos(angle - alpha)),
-               (math.sin(angle + alpha), -math.cos(angle + alpha)))
+    nx, ny = kx.size, ky.size
+    h = (k_period / nx, k_period / ny)
+    # Bin (u, v) of the term sits at k = (u hx + jx k_period, v hy + jy k_period).
     u0, u1 = -(nx // 2) - 1, (nx - 1) // 2 + 1
     v0, v1 = -(ny // 2) - 1, (ny - 1) // 2 + 1
-    out = []
-    for jx in terms:
-        for jy in terms:
-            # Bin (u, v) of the term sits at k = (u hx + jx k_period, v hy + jy k_period).
-            box = [(u0, v0), (u1, v0), (u1, v1), (u0, v1)]
-            for ex, ey in normals:
-                if box:
-                    box = _clip(box, ex * hx, ey * hy, (ex * jx + ey * jy) * k_period)
-            if not box:
-                continue
-            us, vs = [u for u, _ in box], [v for _, v in box]
-            rows, cols = _bins(min(us), max(us), nx), _bins(min(vs), max(vs), ny)
-            if rows.size and cols.size:
-                out.append((np.ix_(rows, cols),
-                            _read_only((kx[rows] + jx * k_period)[:, None]),
-                            _read_only((ky[cols] + jy * k_period)[None, :])))
-    return tuple(out)
+    box = [(u0, v0), (u1, v0), (u1, v1), (u0, v1)]
+    for ex, ey in normals:
+        if box:
+            box = _clip(box, ex * h[0], ey * h[1], (ex * jx + ey * jy) * k_period)
+    if not box:
+        return None
+    us, vs = [u for u, _ in box], [v for _, v in box]
+    rows, cols = _bins(min(us), max(us), nx), _bins(min(vs), max(vs), ny)
+    kx, ky = kx[rows] + jx * k_period, ky[cols] + jy * k_period
+    u, v = kx[:, None], ky[None, :]
+    margin = -1e-9 * (np.abs(u) + np.abs(v))
+    (ax, ay), (bx, by) = normals
+    i, j = np.nonzero((u * ax + v * ay >= margin) & (u * bx + v * by >= margin))
+    if not i.size:
+        return None
+    return rows[i] * ny + cols[j], kx[i], ky[j]
+
+
+class _Sampling:
+    """What the tunings of one kernel shape and orientation share on one
+    grid: the omega grid, the periods, the mother cutoffs and the cone
+    points of each spatial alias term, formed on first use.  None of it
+    depends on the speed or the scales of a tuning, so every tuning of a
+    scan reuses it; a spectrum holds the latest only (_sampling)."""
+
+    def __init__(self, spec: SpectrumVolume, params: GcmParams, theta: float):
+        self.params, self.theta = params, theta
+        self.kx, self.ky, self.w = spec.kx(), spec.ky(), spec.omega()
+        self.k_period = 2 * np.pi / spec.pixel_pitch
+        self.w_period = 2 * np.pi / spec.frame_pitch
+        self.radial_cutoff = _radial_cutoff(params)
+        self.temporal_cutoff = _temporal_cutoff(params)
+        # Inward edge normals of the rotated cone, formed as the kernel forms
+        # its inside test: the cone's dual edge vectors turned by theta.
+        ct, st = math.cos(theta), math.sin(theta)
+        self.normals = tuple((ct * px - st * py, st * px + ct * py)
+                             for px, py in (params.cone.dual_plus, params.cone.dual_minus))
+        self._points, self._omegas = {}, {}
+
+    def cone_terms(self, terms: range):
+        """The cone points of every alias term (jx, jy) of terms x terms that
+        has any, in the order the terms are summed."""
+        for jx in terms:
+            for jy in terms:
+                if (jx, jy) not in self._points:
+                    self._points[jx, jy] = _cone_points(self.kx, self.ky, self.k_period,
+                                                        jx, jy, self.normals)
+                if self._points[jx, jy] is not None:
+                    yield self._points[jx, jy]
+
+    def omegas(self, terms: range) -> np.ndarray:
+        """The temporal alias terms jt of terms, one row each, on the engine's
+        temporal orientation: -(omega + jt * period)."""
+        if terms not in self._omegas:
+            self._omegas[terms] = np.array([-(self.w + jt * self.w_period) for jt in terms])
+        return self._omegas[terms]
+
+
+def _sampling(spec: SpectrumVolume, params: GcmParams, theta: float) -> _Sampling:
+    """The sampling geometry of tunings (params, theta) on spec's grid: the
+    one spec holds if it fits, else a new one that spec then holds in its
+    place, so a scan forms it once and a spectrum never holds more than one."""
+    held = vars(spec).get("_held_sampling")
+    if held is None or held.theta != theta or held.params != params:
+        held = _Sampling(spec, params, theta)
+        object.__setattr__(spec, "_held_sampling", held)
+    return held
 
 
 def tuned_filter_factors(
@@ -360,31 +405,27 @@ def tuned_filter_factors(
     Returns (S, T): the (nx, ny) spatial response with the group prefactor
     and the (nt,) temporal response, both periodized and sampled with the
     engine's temporal orientation.  Each spatial alias term is sampled only
-    on the grid box of its rotated cone, and added there in the same order
-    and with the same arithmetic as over the whole grid, where it is
+    at the grid points of its rotated cone, and added there in the same
+    order and with the same arithmetic as over the whole grid, where it is
     exactly zero outside the cone.  Translations must be zero; the inverse
     FFT supplies them.
     """
     if g.bx != 0.0 or g.by != 0.0 or g.tau != 0.0:
         raise ValueError("translation parameters must be zero; the inverse FFT supplies them")
 
-    w = spec.omega()
-    k_period = 2 * np.pi / spec.pixel_pitch
-    w_period = 2 * np.pi / spec.frame_pitch
-    k_cut = _radial_cutoff(params) / (g.a_s * g.c**SPEED_EXPONENT_SPATIAL)
-    t_cut = _temporal_cutoff(params) * g.c**SPEED_EXPONENT_TEMPORAL / g.a_t
+    geo = _sampling(spec, params, g.theta)
+    k_cut = geo.radial_cutoff / (g.a_s * g.c**SPEED_EXPONENT_SPATIAL)
+    t_cut = geo.temporal_cutoff * g.c**SPEED_EXPONENT_TEMPORAL / g.a_t
 
-    S = np.zeros((spec.nx, spec.ny))
-    for index, kx, ky in _cone_terms(spec.nx, spec.ny, spec.pixel_pitch,
-                                     _alias_range(k_cut, k_period),
-                                     g.theta + params.cone.theta_axis, params.cone.alpha):
+    S = np.zeros(spec.nx * spec.ny)
+    for index, kx, ky in geo.cone_terms(_alias_range(k_cut, geo.k_period)):
         S[index] += tuned_spatial(g, params, kx, ky)
     S *= _prefactor(g)
 
     T = np.zeros(spec.nt)
-    for jt in _alias_range(t_cut, w_period):
-        T += tuned_temporal(g, params, -(w + jt * w_period))
-    return S, T
+    for term in tuned_temporal(g, params, geo.omegas(_alias_range(t_cut, geo.w_period))):
+        T += term
+    return S.reshape(spec.nx, spec.ny), T
 
 
 def apply_spectral_filter(spec: SpectrumVolume, response: np.ndarray) -> np.ndarray:
@@ -405,8 +446,21 @@ def apply_tuned_filter(
     return WaveletCoefficients(apply_spectral_filter(spec, S[:, :, None] * T), g)
 
 
-def _frame_indices(frame_range, nt: int) -> np.ndarray:
-    frames = np.asarray(sorted(set(int(i) for i in frame_range)), dtype=int)
+def _frame_index(i) -> int:
+    """i as a frame index; a boolean or a fraction is refused, not truncated."""
+    if not isinstance(i, (bool, np.bool_)):
+        try:
+            if i == int(i):
+                return int(i)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValueError(f"frame indices must be integers, got {i!r}")
+
+
+def _frame_indices(frame_range, nt: float) -> np.ndarray:
+    """The distinct frames of frame_range, sorted, each checked to be an
+    integer in [0, nt)."""
+    frames = np.asarray(sorted({_frame_index(i) for i in frame_range}), dtype=int)
     if frames.size == 0:
         raise ValueError("frame range must not be empty")
     if frames[0] < 0 or frames[-1] >= nt:
@@ -435,8 +489,8 @@ def tuned_energy_detail(
     norm can produce; scans use it to tell genuine responses from FFT
     round-off dust.  The Parseval path reads the spectrum's cached power.
     """
-    frames = _frame_indices(range(spec.nt) if frame_range is None else frame_range, spec.nt)
-    all_frames = frames.size == spec.nt
+    frames = range(spec.nt) if frame_range is None else _frame_indices(frame_range, spec.nt)
+    all_frames = len(frames) == spec.nt
     if method == "auto":
         method = "parseval" if all_frames else "inverse"
     if method not in ("parseval", "inverse"):
@@ -444,10 +498,11 @@ def tuned_energy_detail(
     if method == "parseval" and not all_frames:
         raise ValueError("the Parseval shortcut requires the full frame range")
     S, T = tuned_filter_factors(spec, g, params)
-    gain = float(np.max(S**2)) * float(np.max(T**2))
+    S2, T2 = S**2, T**2
+    gain = float(S2.max()) * float(T2.max())
     if method == "parseval":
-        per_pixel = spec.power.reshape(spec.nx * spec.ny, spec.nt) @ (T**2)
-        return float(per_pixel @ (S**2).ravel()), gain
+        per_pixel = spec.power.reshape(spec.nx * spec.ny, spec.nt) @ T2
+        return float(per_pixel @ S2.ravel()), gain
     coeffs = WaveletCoefficients(apply_spectral_filter(spec, S[:, :, None] * T), g)
     return energy_density(coeffs, frames), gain
 

@@ -17,7 +17,9 @@ rotated cone and an off-axis decay vector, morlet2d with the correction),
 tight frame, and `synth`, `scan` and `kernel` (gcm, morlet2d) with every
 flag at its default, plus the energies, v_m, peak and no-motion flag of
 library `scan_speeds` calls at 256x256x64, over a partial frame range and on
-C- and Fortran-ordered copies of one scene, the spatial and temporal
+C- and Fortran-ordered copies of one scene, the rows of library
+`scan_orientations` and `aperture_sweep` with golden-section refinement on
+a 37x29x11 scene at pixel pitch 0.7, the spatial and temporal
 factors of `tuned_filter_factors` over awkward tunings, the
 library frame-bound reports and lambda sums for a GCM and for a generic
 callable kernel, and the kernel evaluators on a point set holding signed
@@ -25,8 +27,8 @@ zeros, infinities, NaN, 1e300 and python floats.
 
 The decision digest covers, of the same runs, every exit code; each scan's
 v_m, no-motion flag, grid peak index and unbracketed verdict; the v_m of
-every orient-scan and aperture-sweep row, and orient-scan's best angle by
-the peak_energy column; and every frame-bound report with its
+every orient-scan and aperture-sweep row, library sweep row included, and
+orient-scan's best angle by the peak_energy column; and every frame-bound report with its
 conditioning verdict.  The verdicts are derived from the outputs (a grid
 peak on an end of a curve with motion; lambda_minus within lambda_tail or
 B/A above 1e12), so the digest reads the same on a version that does not
@@ -65,7 +67,13 @@ from conewave.kernels import (  # noqa: E402
     eval_gcm,
     tuned_temporal,
 )
-from conewave.speedscan import EnergyCurve, ScanConfig, scan_speeds  # noqa: E402
+from conewave.speedscan import (  # noqa: E402
+    EnergyCurve,
+    ScanConfig,
+    aperture_sweep,
+    scan_orientations,
+    scan_speeds,
+)
 from conewave.stcwt import SequenceVolume, SpectrumVolume, tuned_filter_factors  # noqa: E402
 from conewave.stvio import read_csv, write_stv  # noqa: E402
 from conewave.synth import GaussianSceneSpec, generate  # noqa: E402
@@ -278,6 +286,25 @@ def library_outputs(digest):
         add_curve_decisions(f"scan_speeds {layout.__name__}", curve)
 
 
+def sweep_outputs(digest):
+    """Refined orientation and aperture sweeps on an odd, non-square scene at
+    a non-unit pixel pitch: every scan of a sweep samples its own cone on the
+    shared spectrum and refines on the same sampling."""
+    data = generate(GaussianSceneSpec(nx=37, ny=29, nt=11, v_r=2.0, motion_angle=0.5,
+                                      pattern_angle=0.5, noise_sigma=0.05, seed=6)).data
+    scene = SequenceVolume(data, pixel_pitch=0.7)
+    config = ScanConfig(theta=0.5, refine="golden-section")
+    thetas = [k * math.pi / 8 for k in range(-4, 5)] + [0.5]
+    alphas = [1.5, math.pi / 4, math.pi / 16, math.pi / 64, math.pi / 256]
+    orientations = scan_orientations(scene, config, thetas)
+    apertures = aperture_sweep(scene, config, alphas)
+    for name, rows in (("scan_orientations", orientations), ("aperture_sweep", apertures)):
+        digest.add(f"{name} golden-section 37x29x11 pitch 0.7", rows)
+    DECISIONS.add("library sweeps golden-section", [v_m for _, v_m, _ in orientations],
+                  max(orientations, key=lambda row: row[2])[0],
+                  [v_m for _, v_m, _ in apertures])
+
+
 def factor_outputs(digest):
     """Spatial and temporal factors on tiny, odd and non-square grids at
     non-unit pitches, with a rotated cone axis, apertures from pi/256 to
@@ -310,6 +337,7 @@ def main():
         finally:
             os.chdir(cwd)
     library_outputs(digest)
+    sweep_outputs(digest)
     factor_outputs(digest)
     frame_outputs(digest)
     with np.errstate(all="ignore"):  # inf - inf and overflow are part of the point set

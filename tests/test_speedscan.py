@@ -1,11 +1,14 @@
 """Speed scans on travelling-Gaussian benchmarks."""
 
+import gc
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from conewave import speedscan, stcwt
 from conewave.speedscan import (
     EnergyCurve,
     ScanConfig,
@@ -174,6 +177,40 @@ def test_frame_range_subset_scan():
     assert np.all(subset.energies <= full.energies + 1e-30)
 
 
+@pytest.mark.parametrize("frames", [[0.9, 1.7], [-0.5, 1], [True, 1], [0, 2.5], [math.nan]])
+def test_fractional_and_boolean_frames_are_rejected_not_truncated(frames):
+    spec = forward_fft3(benchmark_scene(3.0, nt=8))
+    with pytest.raises(ValueError, match="integers"):
+        tuned_energy(spec, GroupElement(c=3.0), GcmParams(), frame_range=frames)
+
+
+def test_integral_frames_of_any_numeric_type_are_accepted():
+    spec, g, params = forward_fft3(benchmark_scene(3.0, nt=8)), GroupElement(c=3.0), GcmParams()
+    want = tuned_energy(spec, g, params, frame_range=[0, 2])
+    for frames in ([0.0, 2.0], np.array([2, 0]), (np.int64(0), np.float64(2.0), 2)):
+        assert tuned_energy(spec, g, params, frame_range=frames) == want
+
+
+@pytest.mark.parametrize("frames", [(0.5, 2.5, 5.9), (), (-1, 2), (False, 1), [2, "3"]])
+def test_scan_config_checks_its_frame_range(frames):
+    with pytest.raises(ValueError):
+        ScanConfig(frame_range=frames)
+
+
+def test_frames_past_the_scene_fail_at_scan_time():
+    config = ScanConfig(frame_range=(0, 8))  # valid until a scene of 8 frames meets it
+    with pytest.raises(ValueError, match=r"\[0, 8\)"):
+        scan_speeds(benchmark_scene(3.0, nt=8), config)
+
+
+def test_a_range_of_all_frames_scans_as_no_range():
+    scene = benchmark_scene(3.0, nt=8)
+    want = scan_speeds(scene, ScanConfig(refine="golden-section"))
+    got = scan_speeds(scene, ScanConfig(frame_range=(7, 0, 1, 2, 3, 4, 5, 6, 3),
+                                        refine="golden-section"))
+    assert got.energies.tobytes() == want.energies.tobytes() and got.v_m == want.v_m
+
+
 def test_energy_curve_samples_property():
     curve = EnergyCurve(np.array([1.0, 2.0]), np.array([0.5, 1.5]), 2.0, 1.5)
     assert curve.samples == [(1.0, 0.5), (2.0, 1.5)]
@@ -307,3 +344,45 @@ def test_scan_energies_equal_per_tuning_energies():
     spec, params = forward_fft3(scene), config.params()
     alone = [tuned_energy(spec, config.tuning(float(c)), params) for c in curve.c_values]
     assert curve.energies.tolist() == alone
+
+
+# ---------------------------------------------------------------------------
+# memory held between scans
+
+CACHE_ENTRIES = 8  # the most entries any module-level cache of stcwt or speedscan may hold
+HELD_BYTES = 1 << 20  # what all the scans below may leave allocated, caches included
+
+
+def _module_caches():
+    return {f"{module.__name__}.{name}": fn for module in (stcwt, speedscan)
+            for name, fn in vars(module).items() if hasattr(fn, "cache_info")}
+
+
+def test_fifty_orientations_on_three_grids_leave_bounded_state(monkeypatch):
+    thetas = np.linspace(-math.pi, math.pi, 50, endpoint=False)
+    scenes = [SequenceVolume(np.random.default_rng(n).standard_normal((n, n + 7, 9)))
+              for n in (16, 33, 48)]
+    config = ScanConfig(c_step=1.0, refine="golden-section")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for scene in scenes:
+            scan_orientations(scene, config, thetas)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < HELD_BYTES
+    for name, cache in _module_caches().items():
+        info = cache.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize <= CACHE_ENTRIES, name
+
+    # Within a sweep, the shared spectrum holds the sampling geometry of one
+    # orientation at a time.
+    spectra = []
+    monkeypatch.setattr(speedscan, "forward_fft3", lambda seq: spectra.append(forward_fft3(seq))
+                        or spectra[-1])
+    scan_orientations(scenes[-1], config, thetas)
+    held = [value for value in vars(spectra[0]).values() if isinstance(value, stcwt._Sampling)]
+    assert len(held) == 1 and held[0].theta == thetas[-1]
