@@ -148,12 +148,9 @@ class EnergyCurve:
 def _scan_spectrum(spectrum: SpectrumVolume, config: ScanConfig, energy: float) -> EnergyCurve:
     """Speed scan of one spectrum: the grid energies, the dust floor and
     no-motion test, and the optional golden-section refinement.  energy is
-    the spectrum's, formed once by _scans.
-
-    The frames are resolved here once; a range of all frames is passed on as
-    None, so that no tuning resolves them again.  The spectrum holds the
-    sampling geometry of the scan's first tuning, which every later tuning,
-    refinement included, reuses."""
+    the spectrum's, formed once by _scans.  The frames are resolved once,
+    all frames to None, and every tuning, refinement included, reuses the
+    sampling that the scan's first tuning leaves on the spectrum."""
     params = config.params()
     cs = config.speed_grid()
     frames = config.frame_range

@@ -37,8 +37,8 @@ get wrong:
   kernel keeps tuned filter and signal consistent (this is what makes
   high-speed captures work at coarse temporal scales).  The spatial
   factor is exactly zero outside its rotated cone, so each spatial alias
-  term is sampled only on the grid rows and columns of the cone's
-  bounding box; the rest of the grid would only add exact zeros.
+  term is sampled only at the grid points inside the cone or within a
+  rounding margin of its edges, found once per scan and orientation.
 
 Boundary model is periodic (circular) throughout; window the input if
 leakage matters.
@@ -311,85 +311,65 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _cone_points(kx: np.ndarray, ky: np.ndarray, k_period: float, jx: int, jy: int, normals):
-    """The bins of the grid of frequencies kx by ky at which the spatial
-    alias term (jx, jy) can meet a cone, as (flat grid index, kx, ky), or
-    None if it has none.
-
-    normals are the cone's two inward edge normals: the cone is where both
-    normal . k >= 0.  A bin is kept if it lies inside or within 1e-9 of
-    |kx| + |ky| outside, a margin far wider than the rounding by which the
-    kernel's own inside test can differ, so every bin the kernel puts inside
-    is kept.  Only the bounding box of the cone clipped to the term's bins,
-    grown by one bin each way, is tested.
-    """
-    nx, ny = kx.size, ky.size
-    h = (k_period / nx, k_period / ny)
-    # Bin (u, v) of the term sits at k = (u hx + jx k_period, v hy + jy k_period).
-    u0, u1 = -(nx // 2) - 1, (nx - 1) // 2 + 1
-    v0, v1 = -(ny // 2) - 1, (ny - 1) // 2 + 1
-    box = [(u0, v0), (u1, v0), (u1, v1), (u0, v1)]
-    for ex, ey in normals:
-        if box:
-            box = _clip(box, ex * h[0], ey * h[1], (ex * jx + ey * jy) * k_period)
-    if not box:
-        return None
-    us, vs = [u for u, _ in box], [v for _, v in box]
-    rows, cols = _bins(min(us), max(us), nx), _bins(min(vs), max(vs), ny)
-    kx, ky = kx[rows] + jx * k_period, ky[cols] + jy * k_period
-    u, v = kx[:, None], ky[None, :]
-    margin = -1e-9 * (np.abs(u) + np.abs(v))
-    (ax, ay), (bx, by) = normals
-    i, j = np.nonzero((u * ax + v * ay >= margin) & (u * bx + v * by >= margin))
-    if not i.size:
-        return None
-    return rows[i] * ny + cols[j], kx[i], ky[j]
-
-
 class _Sampling:
-    """What the tunings of one kernel shape and orientation share on one
-    grid: the omega grid, the periods, the mother cutoffs and the cone
-    points of each spatial alias term, formed on first use.  None of it
-    depends on the speed or the scales of a tuning, so every tuning of a
-    scan reuses it; a spectrum holds the latest only (_sampling)."""
+    """What the tunings of one kernel shape and orientation share on a grid,
+    whatever their speed and scales, formed on first use: the frequencies,
+    periods and cutoffs, and the points of each alias term."""
 
     def __init__(self, spec: SpectrumVolume, params: GcmParams, theta: float):
         self.params, self.theta = params, theta
         self.kx, self.ky, self.w = spec.kx(), spec.ky(), spec.omega()
-        self.k_period = 2 * np.pi / spec.pixel_pitch
-        self.w_period = 2 * np.pi / spec.frame_pitch
-        self.radial_cutoff = _radial_cutoff(params)
-        self.temporal_cutoff = _temporal_cutoff(params)
-        # Inward edge normals of the rotated cone, formed as the kernel forms
-        # its inside test: the cone's dual edge vectors turned by theta.
+        self.k_period, self.w_period = 2 * np.pi / spec.pixel_pitch, 2 * np.pi / spec.frame_pitch
+        self.radial_cutoff, self.temporal_cutoff = _radial_cutoff(params), _temporal_cutoff(params)
+        # The cone's inward edge normals, formed as the kernel forms its
+        # inside test: the dual edge vectors turned by theta.
         ct, st = math.cos(theta), math.sin(theta)
         self.normals = tuple((ct * px - st * py, st * px + ct * py)
                              for px, py in (params.cone.dual_plus, params.cone.dual_minus))
         self._points, self._omegas = {}, {}
 
     def cone_terms(self, terms: range):
-        """The cone points of every alias term (jx, jy) of terms x terms that
-        has any, in the order the terms are summed."""
+        """(flat grid index, kx, ky) of the cone points of each alias term of
+        terms x terms that has any, in summing order."""
         for jx in terms:
             for jy in terms:
                 if (jx, jy) not in self._points:
-                    self._points[jx, jy] = _cone_points(self.kx, self.ky, self.k_period,
-                                                        jx, jy, self.normals)
+                    self._points[jx, jy] = self._cone_points(jx, jy)
                 if self._points[jx, jy] is not None:
                     yield self._points[jx, jy]
 
+    def _cone_points(self, jx: int, jy: int):
+        """The bins of alias term (jx, jy) inside the cone, where both
+        normal . k >= 0, or within 1e-9 of |kx| + |ky| outside: a margin far
+        wider than the rounding by which the kernel's own inside test can
+        differ, so no bin the kernel puts inside is left out.  Only the
+        bounding box of the cone clipped to the term's bins is tested."""
+        (nx, ny), (ax, ay), (bx, by) = (self.kx.size, self.ky.size), *self.normals
+        hx, hy = self.k_period / nx, self.k_period / ny
+        # Bin (u, v) of the term sits at k = (u hx + jx k_period, v hy + jy k_period).
+        u0, u1, v0, v1 = -(nx // 2) - 1, (nx - 1) // 2 + 1, -(ny // 2) - 1, (ny - 1) // 2 + 1
+        box = [(u0, v0), (u1, v0), (u1, v1), (u0, v1)]
+        for ex, ey in self.normals:
+            box = box and _clip(box, ex * hx, ey * hy, (ex * jx + ey * jy) * self.k_period)
+        if not box:
+            return None
+        us, vs = [u for u, _ in box], [v for _, v in box]
+        rows, cols = _bins(min(us), max(us), nx), _bins(min(vs), max(vs), ny)
+        kx, ky = self.kx[rows] + jx * self.k_period, self.ky[cols] + jy * self.k_period
+        u, v = kx[:, None], ky[None, :]
+        margin = -1e-9 * (np.abs(u) + np.abs(v))
+        i, j = np.nonzero((u * ax + v * ay >= margin) & (u * bx + v * by >= margin))
+        return (rows[i] * ny + cols[j], kx[i], ky[j]) if i.size else None
+
     def omegas(self, terms: range) -> np.ndarray:
-        """The temporal alias terms jt of terms, one row each, on the engine's
-        temporal orientation: -(omega + jt * period)."""
+        """-(omega + jt * period), a row per temporal alias term jt of terms."""
         if terms not in self._omegas:
             self._omegas[terms] = np.array([-(self.w + jt * self.w_period) for jt in terms])
         return self._omegas[terms]
 
 
 def _sampling(spec: SpectrumVolume, params: GcmParams, theta: float) -> _Sampling:
-    """The sampling geometry of tunings (params, theta) on spec's grid: the
-    one spec holds if it fits, else a new one that spec then holds in its
-    place, so a scan forms it once and a spectrum never holds more than one."""
+    """The sampling of tunings (params, theta) on spec's grid; spec holds the latest."""
     held = vars(spec).get("_held_sampling")
     if held is None or held.theta != theta or held.params != params:
         held = _Sampling(spec, params, theta)
@@ -448,18 +428,16 @@ def apply_tuned_filter(
 
 def _frame_index(i) -> int:
     """i as a frame index; a boolean or a fraction is refused, not truncated."""
-    if not isinstance(i, (bool, np.bool_)):
-        try:
-            if i == int(i):
-                return int(i)
-        except (TypeError, ValueError, OverflowError):
-            pass
+    try:
+        if not isinstance(i, (bool, np.bool_)) and i == int(i):
+            return int(i)
+    except (TypeError, ValueError, OverflowError):
+        pass
     raise ValueError(f"frame indices must be integers, got {i!r}")
 
 
 def _frame_indices(frame_range, nt: float) -> np.ndarray:
-    """The distinct frames of frame_range, sorted, each checked to be an
-    integer in [0, nt)."""
+    """The distinct frames of frame_range, sorted and checked to lie in [0, nt)."""
     frames = np.asarray(sorted({_frame_index(i) for i in frame_range}), dtype=int)
     if frames.size == 0:
         raise ValueError("frame range must not be empty")
