@@ -303,7 +303,7 @@ def _bins(lo: float, hi: float, n: int) -> np.ndarray:
     order, from -(n // 2) to (n - 1) // 2), widened by one bin each way."""
     first = max(math.ceil(lo) - 1, -(n // 2))
     last = min(math.floor(hi) + 1, (n - 1) // 2)
-    return _read_only(np.arange(first, last + 1) % n)
+    return np.arange(first, last + 1) % n
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
