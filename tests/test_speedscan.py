@@ -381,8 +381,12 @@ def test_fifty_orientations_on_three_grids_leave_bounded_state(monkeypatch):
     # Within a sweep, the shared spectrum holds the sampling geometry of one
     # orientation at a time.
     spectra = []
-    monkeypatch.setattr(speedscan, "forward_fft3", lambda seq: spectra.append(forward_fft3(seq))
-                        or spectra[-1])
+
+    def capture(seq):
+        spectra.append(forward_fft3(seq))
+        return spectra[-1]
+
+    monkeypatch.setattr(speedscan, "forward_fft3", capture)
     scan_orientations(scenes[-1], config, thetas)
     held = [value for value in vars(spectra[0]).values() if isinstance(value, stcwt._Sampling)]
     assert len(held) == 1 and held[0].theta == thetas[-1]
