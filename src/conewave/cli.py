@@ -209,9 +209,15 @@ def cmd_kernel(args) -> int:
     KX = kx[:, None, None]
     KY = ky[None, :, None]
     W = w[None, None, :]
-    params = _gcm_params(args)
-    # Only the GCM types apply the motion group and read its flags; the
-    # sidecar records the identity for the others.
+    # morlet2d reads no GCM flag, so a bad one rejects only the other types,
+    # and its sidecar then records no GCM parameters.  Only the GCM types
+    # apply the motion group; the sidecar records the identity for the others.
+    try:
+        params = _gcm_params(args)
+    except ValueError:
+        if args.type != "morlet2d":
+            raise
+        params = None
     g = _from_args(GroupElement, args) if args.type in ("gcm", "centered-gcm") else GroupElement()
     if args.type == "gcm":
         values = apply_group(g, params, KX, KY, W)
@@ -237,9 +243,9 @@ def cmd_kernel(args) -> int:
         "grid": list(args.grid),
         "kmax": args.kmax,
         "wmax": args.wmax,
-        "params": {"l": args.l, "m": args.m, "sigma": args.sigma,
-                   "omega0": params.omega0, "alpha": args.alpha,
-                   "theta_axis": args.theta_axis},
+        "params": None if params is None else {
+            "l": args.l, "m": args.m, "sigma": args.sigma, "omega0": params.omega0,
+            "alpha": args.alpha, "theta_axis": args.theta_axis},
         "group": asdict(g),
     }
     with open(f"{base}.json", "w") as fh:

@@ -148,15 +148,13 @@ class EnergyCurve:
 def _scan_spectrum(spectrum: SpectrumVolume, config: ScanConfig, energy: float) -> EnergyCurve:
     """Speed scan of one spectrum: the grid energies, the dust floor and
     no-motion test, and the optional golden-section refinement.  energy is
-    the spectrum's, formed once by _scans.  The frames are resolved once,
-    all frames to None, and every tuning, refinement included, reuses the
-    sampling that the scan's first tuning leaves on the spectrum."""
+    the spectrum's, formed once by _scans.  Each tuning, refinement included,
+    gets the frame range unresolved, is one kernel call per filter factor,
+    and reuses the sampling that the scan's first tuning leaves on the
+    spectrum."""
     params = config.params()
     cs = config.speed_grid()
     frames = config.frame_range
-    if frames is not None:
-        frames = _frame_indices(frames, spectrum.nt)
-        frames = None if frames.size == spectrum.nt else frames
     energies, gains = np.array([
         tuned_energy_detail(spectrum, config.tuning(float(c)), params, frames) for c in cs
     ]).T

@@ -38,7 +38,8 @@ get wrong:
   high-speed captures work at coarse temporal scales).  The spatial
   factor is exactly zero outside its rotated cone, so each spatial alias
   term is sampled only at the grid points inside the cone or within a
-  rounding margin of its edges, found once per scan and orientation.
+  rounding margin of its edges, found once per scan and orientation, and
+  all the alias terms of a tuning go through one kernel call per factor.
 
 Boundary model is periodic (circular) throughout; window the input if
 leakage matters.
@@ -314,7 +315,7 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class _Sampling:
     """What the tunings of one kernel shape and orientation share on a grid,
     whatever their speed and scales, formed on first use: the frequencies,
-    periods and cutoffs, and the points of each alias term."""
+    periods and cutoffs, and the points of each alias range."""
 
     def __init__(self, spec: SpectrumVolume, params: GcmParams, theta: float):
         self.params, self.theta = params, theta
@@ -328,15 +329,13 @@ class _Sampling:
                              for px, py in (params.cone.dual_plus, params.cone.dual_minus))
         self._points, self._omegas = {}, {}
 
-    def cone_terms(self, terms: range):
-        """(flat grid index, kx, ky) of the cone points of each alias term of
-        terms x terms that has any, in summing order."""
-        for jx in terms:
-            for jy in terms:
-                if (jx, jy) not in self._points:
-                    self._points[jx, jy] = self._cone_points(jx, jy)
-                if self._points[jx, jy] is not None:
-                    yield self._points[jx, jy]
+    def cone_points(self, terms: range):
+        """(flat grid index, kx, ky) of the cone points of every alias term
+        of terms x terms, concatenated term after term in summing order."""
+        if terms not in self._points:
+            per_term = [self._cone_points(jx, jy) for jx in terms for jy in terms]
+            self._points[terms] = tuple(np.concatenate(part) for part in zip(*per_term))
+        return self._points[terms]
 
     def _cone_points(self, jx: int, jy: int):
         """The bins of alias term (jx, jy) inside the cone, where both
@@ -352,14 +351,14 @@ class _Sampling:
         for ex, ey in self.normals:
             box = box and _clip(box, ex * hx, ey * hy, (ex * jx + ey * jy) * self.k_period)
         if not box:
-            return None
+            return np.empty(0, dtype=int), np.empty(0), np.empty(0)
         us, vs = [u for u, _ in box], [v for _, v in box]
         rows, cols = _bins(min(us), max(us), nx), _bins(min(vs), max(vs), ny)
         kx, ky = self.kx[rows] + jx * self.k_period, self.ky[cols] + jy * self.k_period
         u, v = kx[:, None], ky[None, :]
         margin = -1e-9 * (np.abs(u) + np.abs(v))
         i, j = np.nonzero((u * ax + v * ay >= margin) & (u * bx + v * by >= margin))
-        return (rows[i] * ny + cols[j], kx[i], ky[j]) if i.size else None
+        return rows[i] * ny + cols[j], kx[i], ky[j]
 
     def omegas(self, terms: range) -> np.ndarray:
         """-(omega + jt * period), a row per temporal alias term jt of terms."""
@@ -384,11 +383,11 @@ def tuned_filter_factors(
 
     Returns (S, T): the (nx, ny) spatial response with the group prefactor
     and the (nt,) temporal response, both periodized and sampled with the
-    engine's temporal orientation.  Each spatial alias term is sampled only
-    at the grid points of its rotated cone, and added there in the same
-    order and with the same arithmetic as over the whole grid, where it is
-    exactly zero outside the cone.  Translations must be zero; the inverse
-    FFT supplies them.
+    engine's temporal orientation, each in one kernel call on all its alias
+    terms.  A spatial term is sampled only at its rotated cone's grid
+    points and added there in the same order and with the same arithmetic
+    as over the whole grid, where it is exactly zero outside the cone.
+    Translations must be zero; the inverse FFT supplies them.
     """
     if g.bx != 0.0 or g.by != 0.0 or g.tau != 0.0:
         raise ValueError("translation parameters must be zero; the inverse FFT supplies them")
@@ -397,14 +396,10 @@ def tuned_filter_factors(
     k_cut = geo.radial_cutoff / (g.a_s * g.c**SPEED_EXPONENT_SPATIAL)
     t_cut = geo.temporal_cutoff * g.c**SPEED_EXPONENT_TEMPORAL / g.a_t
 
-    S = np.zeros(spec.nx * spec.ny)
-    for index, kx, ky in geo.cone_terms(_alias_range(k_cut, geo.k_period)):
-        S[index] += tuned_spatial(g, params, kx, ky)
-    S *= _prefactor(g)
-
-    T = np.zeros(spec.nt)
-    for term in tuned_temporal(g, params, geo.omegas(_alias_range(t_cut, geo.w_period))):
-        T += term
+    # bincount adds each bin's values from 0 in the order they come: term after term.
+    index, kx, ky = geo.cone_points(_alias_range(k_cut, geo.k_period))
+    S = np.bincount(index, tuned_spatial(g, params, kx, ky), spec.nx * spec.ny) * _prefactor(g)
+    T = np.add.reduce(tuned_temporal(g, params, geo.omegas(_alias_range(t_cut, geo.w_period))))
     return S.reshape(spec.nx, spec.ny), T
 
 

@@ -458,6 +458,20 @@ def test_kernel_ignores_group_flags_it_does_not_apply(tmp_path, kind):
     assert outputs[0] == outputs[1]
 
 
+def test_morlet_kernel_ignores_gcm_flags_it_does_not_read(tmp_path):
+    # morlet2d reads no GCM flag: an edge order of 0, which no GCM kernel
+    # takes, does not reject it, and its volumes are those of the defaults.
+    assert run("kernel", "--type", "morlet2d", "--l", "0", "--grid", "4x4x1",
+               "--out", str(tmp_path / "k")) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["k.json", "k_imag.stv", "k_real.stv"]
+    assert json.loads((tmp_path / "k.json").read_text())["params"] is None
+    assert run("kernel", "--type", "morlet2d", "--grid", "4x4x1",
+               "--out", str(tmp_path / "d")) == 0
+    for suffix in ("_real.stv", "_imag.stv"):
+        assert (tmp_path / f"k{suffix}").read_bytes() == (tmp_path / f"d{suffix}").read_bytes()
+    assert json.loads((tmp_path / "d.json").read_text())["params"]["omega0"] == math.sqrt(20)
+
+
 @pytest.mark.parametrize("kind", ["gcm", "centered-gcm"])
 def test_kernel_rejects_a_group_it_applies(tmp_path, kind):
     code = run("kernel", "--type", kind, "--c", "0", "--grid", "4x4x1", "--out", str(tmp_path / "k"))

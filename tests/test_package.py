@@ -7,6 +7,7 @@ import types
 from pathlib import Path
 
 import conewave
+from conewave import cli
 
 SOURCE = Path(conewave.__file__).resolve().parent
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -24,16 +25,46 @@ def test_all_lists_exactly_the_public_names():
         assert not hasattr(conewave, gone)
 
 
-def test_every_name_the_benchmark_tracer_wraps_is_callable():
-    # The tracer records a missing name as absent and reports its metrics
-    # as zero, so a renamed helper would go unnoticed there.
+def _tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_name_the_benchmark_tracer_wraps_is_callable():
+    # The tracer records a missing name as absent and reports its metrics
+    # as zero, so a renamed helper would go unnoticed there.
+    tracer = _tracer()
     assert tracer.WRAPS
     missing = [(module, name) for module, name, *_ in tracer.WRAPS
                if not callable(getattr(importlib.import_module(module), name, None))]
     assert missing == []
+
+
+def test_every_name_the_benchmark_tracer_wraps_is_called(tmp_path):
+    # A name the pipeline stops calling keeps resolving, but its per-layer
+    # metrics would read 0 in a traced benchmark run.
+    tracer = _tracer()
+    recorder = tracer.Recorder()
+    scene, out = str(tmp_path / "s.stv"), str(tmp_path / "out")
+    recorder.install()
+    try:
+        for argv in (
+            ["synth", "--size", "16x16x8", "--noise", "0.1", "--out", scene],
+            ["scan", "--in", scene, "--refine", "--out", out],
+            ["orient-scan", "--in", scene, "--out", out],
+            ["aperture-sweep", "--in", scene, "--out", out],
+            ["frame-bounds", "--grid-size", "8", "--scale-range", "1", "--out", out],
+        ):
+            assert cli.main(argv) == 0, argv
+    finally:
+        recorder.uninstall()
+    called = {span.name for span in recorder.spans}
+    wrapped = {f"{module.rsplit('.', 1)[-1]}.{name}" for module, name, *_ in tracer.WRAPS}
+    assert sorted(wrapped - called) == []
+    assert recorder.absent == []
+    assert recorder.counter_errors == {}
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:

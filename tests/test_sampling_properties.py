@@ -72,6 +72,9 @@ def kernels(draw, theta_axis=None):
 @example((53, 71, 4), 0.5, 1.0,
          (GcmParams(l=1, m=2, sigma=0.7, cone=ConeSpec(alpha=math.pi / 4)),
           GroupElement(theta=math.pi + math.pi / 4, a_s=3.0, a_t=2.0, c=6.0)))
+# 41 x 41 alias terms on 6 bins, 80-84 non-zero values on each: the bytes
+# hold only if each bin adds its values in the full grid's term order.
+@example((2, 3, 4), 3.0, 1.0, (GcmParams(), GroupElement(a_s=0.3)))
 def test_cone_points_give_the_bytes_of_the_full_grid(shape, pixel_pitch, frame_pitch, kernel):
     params, g = kernel
     spec = SpectrumVolume(np.zeros(shape, dtype=complex), pixel_pitch, frame_pitch)

@@ -17,7 +17,7 @@ from conewave.speedscan import (
     scan_orientations,
     scan_speeds,
 )
-from conewave.kernels import GcmParams, GroupElement
+from conewave.kernels import SPEED_EXPONENT_SPATIAL, GcmParams, GroupElement
 from conewave.stcwt import SequenceVolume, forward_fft3, tuned_energy
 from conewave.stvio import read_stv, write_stv
 from conewave.synth import GaussianSceneSpec, generate
@@ -209,6 +209,31 @@ def test_a_range_of_all_frames_scans_as_no_range():
     got = scan_speeds(scene, ScanConfig(frame_range=(7, 0, 1, 2, 3, 4, 5, 6, 3),
                                         refine="golden-section"))
     assert got.energies.tobytes() == want.energies.tobytes() and got.v_m == want.v_m
+
+
+def test_a_tuning_is_one_kernel_call_per_factor(monkeypatch):
+    # Every tuning of a scan, refinement included, sends the points of all
+    # its alias terms through one spatial and one temporal kernel call.
+    rng = np.random.default_rng(4)
+    seq = SequenceVolume(rng.standard_normal((16, 12, 8)))
+    config = ScanConfig(c_min=1.0, c_max=3.0, c_step=0.5, a_s=0.5, refine="golden-section")
+    scale = config.a_s * config.c_max**SPEED_EXPONENT_SPATIAL
+    k_cut = stcwt._radial_cutoff(config.params()) / scale
+    assert len(stcwt._alias_range(k_cut, 2 * math.pi)) >= 3  # 3 x 3 terms or more
+    events = []
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            events.append(name)
+            return fn(*args, **kwargs)
+        return call
+
+    for name in ("tuned_filter_factors", "tuned_spatial", "tuned_temporal"):
+        monkeypatch.setattr(stcwt, name, counted(name, getattr(stcwt, name)))
+    curve = scan_speeds(seq, config)
+    tunings = events.count("tuned_filter_factors")
+    assert not curve.no_motion and tunings > len(curve.c_values)  # refinement ran
+    assert events == ["tuned_filter_factors", "tuned_spatial", "tuned_temporal"] * tunings
 
 
 def test_energy_curve_samples_property():
