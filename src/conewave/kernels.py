@@ -52,6 +52,7 @@ class ConeSpec:
     theta_axis: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self, "theta_axis")
         if not 0.0 < self.alpha < math.pi / 2:
             raise ValueError(f"cone half-aperture must be in (0, pi/2), got {self.alpha}")
 

@@ -184,9 +184,9 @@ def _scan_spectrum(spectrum: SpectrumVolume, config: ScanConfig, energy: float) 
 def _scans(seq: SequenceVolume, configs) -> list[EnergyCurve]:
     """One speed scan per config, all on one shared spectrum of seq.
 
-    The total energy is formed here once for every tuning of every scan, as
-    the sum of the spectrum's power, which every Parseval read then shares.
-    Both are dropped on return.
+    The total energy is formed here once for every tuning of every scan,
+    with the power of the stored half spectrum in one pass; every Parseval
+    read then shares that power.  Both are dropped on return.
     """
     spectrum = forward_fft3(seq)
     energy = spectrum.energy()

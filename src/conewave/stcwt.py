@@ -9,14 +9,18 @@ the spectrum without any inverse transform; that shortcut is the engine's
 main optimization and is oracle-checked in the tests.
 
 The input is real, so its spectrum is Hermitian, X(k, omega) =
-conj X(-k, -omega), and the forward transform is one rfftn: the half
-spectrum of the bins omega = 0 .. nt // 2.  The full-size power that every
-tuning contracts against is formed from that half in one pass, and its
-bins omega > nt // 2 are mirrored, P(k, omega) = P(-k, -omega).  The
-omega = 0 plane, and for an even nt the Nyquist plane omega = nt // 2, are
-their own mirror images, so each is taken from the half once and never
-mirrored.  The full complex spectrum is formed, the same way, only for the
-inverse-FFT path, which a scan over all frames never takes.
+conj X(-k, -omega), and the forward transform is one rfftn, computed in
+place in one array: the half spectrum of the bins omega = 0 .. nt // 2.
+The scan works on that half alone.  Its power, and with it the total
+energy, is formed in one pass over the stored bins, and every tuning
+contracts against it, most at only the rows that their cone points reach,
+gathered once per alias range.  Each bin 1 <= omega <= (nt - 1) // 2
+stands for itself and its mirror image (-k, -omega), so the contraction
+adds that image's term, S^2(-k) T^2(-omega), and the energy counts the
+bin twice.  The omega = 0 plane, and for an even nt the Nyquist plane
+omega = nt // 2, are their own mirror images and count once.  The full
+complex spectrum is mirrored from the half only for the inverse-FFT path,
+which a scan over all frames never takes.
 
 Two sampling conventions, both documented here because they are easy to
 get wrong:
@@ -138,9 +142,13 @@ class SpectrumVolume(_Sampled):
     [-N/2, N/2)), so each sample is logically indexed by its frequency.
     The shape and pitches are checked as for SequenceVolume.
 
-    SpectrumVolume(data) holds any complex array as it is.  The spectrum
-    of a real sequence (forward_fft3) holds only its rfftn half, the bins
-    omega = 0 .. nt // 2, and forms the full data, mirrored from the half,
+    SpectrumVolume(data) stores any complex array as it is, every bin, and
+    mirrors none.  The spectrum of a real sequence (forward_fft3) stores
+    only its rfftn half, the bins omega = 0 .. nt // 2; its bins
+    1 .. (nt - 1) // 2 are mirrored, each standing also for its image
+    (-k, -omega).  The power, the energy and every tuning's contraction
+    read the stored bins and count the mirrored ones twice, the same way
+    for both.  The full data of a real sequence is mirrored from the half
     only when data is read; a scan never reads it.  data is read-only
     either way, so the cached power cannot go stale.
     """
@@ -150,13 +158,13 @@ class SpectrumVolume(_Sampled):
 
     def __init__(self, data, pixel_pitch: float = 1.0, frame_pitch: float = 1.0):
         data = _read_only(np.asarray(data).view())
-        self._set(data.shape, pixel_pitch, frame_pitch, _half=None, data=data)
+        self._set(data.shape, pixel_pitch, frame_pitch, _stored=data, data=data)
 
     @classmethod
     def _of_real(cls, half: np.ndarray, nt: int, pixel_pitch: float, frame_pitch: float):
         """The spectrum of a real (nx, ny, nt) sequence from its rfftn half."""
         spec = cls.__new__(cls)
-        spec._set(half.shape[:2] + (nt,), pixel_pitch, frame_pitch, _half=half)
+        spec._set(half.shape[:2] + (nt,), pixel_pitch, frame_pitch, _stored=half)
         return spec
 
     def _set(self, shape, pixel_pitch, frame_pitch, **arrays):
@@ -165,31 +173,55 @@ class SpectrumVolume(_Sampled):
             object.__setattr__(self, name, value)
         self._check_grid()
 
+    @property
+    def _mirrored(self) -> int:
+        """How many stored omega bins, 1 .. _mirrored, stand also for their
+        mirror images: (nt - 1) // 2 for a real sequence, 0 otherwise."""
+        return self.nt - self._stored.shape[2]
+
+    @cached_property
+    def _reflection(self) -> np.ndarray:
+        """The flat spatial bin of -k for each flat bin k of the (nx, ny)
+        grid: index i goes to -i mod n on both axes."""
+        i, j = np.divmod(np.arange(self.nx * self.ny), self.ny)
+        return (-i % self.nx) * self.ny + -j % self.ny
+
     @cached_property
     def data(self) -> np.ndarray:
         """The full complex spectrum; a real sequence's is mirrored from its
-        half on first read, X(k, omega) = conj X(-k, -omega)."""
-        full = np.empty(self.shape, dtype=self._half.dtype)
-        full[:, :, :self._half.shape[2]] = self._half
-        _mirror_tail(full, conj=True)
+        half on first read, X(k, omega) = conj X(-k, -omega): its bins
+        nt // 2 + 1 .. nt - 1 are the conjugates of bins _mirrored .. 1 at -k."""
+        nh = self._stored.shape[2]
+        full = np.empty(self.shape, dtype=self._stored.dtype)
+        full[:, :, :nh] = self._stored
+        rows = self._stored.reshape(self.nx * self.ny, nh)[self._reflection, self._mirrored:0:-1]
+        full[:, :, nh:] = np.conjugate(rows).reshape(self.nx, self.ny, -1)
         return _read_only(full)
 
     @cached_property
+    def _power_and_energy(self) -> tuple[np.ndarray, float]:
+        """The power |X|^2 of the stored bins, C-ordered whatever their
+        layout, and the total energy: every stored bin once and the mirrored
+        ones again.  One pass forms both, a slab of rows of axis 0 at a
+        time, so no temporary is larger than a slab."""
+        stored = self._stored
+        power = np.empty(stored.shape)
+        rows = max(1, _SLAB_BINS // (self.ny * stored.shape[2]))
+        energy = 0.0
+        for i in range(0, self.nx, rows):
+            part, slab = stored[i:i + rows], power[i:i + rows]
+            np.square(part.real, out=slab)
+            slab += np.square(part.imag)
+            energy += float(slab.sum()) + float(slab[:, :, 1:1 + self._mirrored].sum())
+        return power, energy
+
+    @cached_property
     def power(self) -> np.ndarray:
-        """|data|^2, formed on first use and shared by every tuning read off
-        this spectrum.  It is C-ordered whatever the layout of data (a
-        volume read from STV is Fortran-ordered), so the Parseval path
-        reshapes it to (nx * ny, nt) without a copy.  A real sequence's is
-        formed from its half in one pass, and mirrored: P(k, omega) =
-        P(-k, -omega)."""
-        if self._half is None:
-            return np.ascontiguousarray(self.data.real**2 + self.data.imag**2)
-        full = np.empty(self.shape)
-        head = full[:, :, :self._half.shape[2]]
-        np.square(self._half.real, out=head)
-        head += self._half.imag**2
-        _mirror_tail(full, conj=False)
-        return full
+        """|X|^2 of the stored bins, formed on first use and shared by every
+        tuning read off this spectrum.  It is C-ordered whatever the layout
+        of the spectrum (a volume read from STV is Fortran-ordered), so the
+        Parseval path reshapes it to (nx * ny, bins) without a copy."""
+        return self._power_and_energy[0]
 
     def kx(self) -> np.ndarray:
         return _angular_frequencies(self.nx, self.pixel_pitch)
@@ -201,25 +233,18 @@ class SpectrumVolume(_Sampled):
         return _angular_frequencies(self.nt, self.frame_pitch)
 
     def energy(self) -> float:
-        return float(np.sum(self.power))
+        """Sum of |X|^2 over all nt bins, formed with the power."""
+        return self._power_and_energy[1]
 
 
-def _mirror_tail(full: np.ndarray, conj: bool) -> None:
-    """Fill the omega bins nt // 2 + 1 .. nt - 1 of an (nx, ny, nt) volume,
-    in place, from its bins 1 .. (nt - 1) // 2 reflected through the
-    origin: full[k, omega] = full[-k, -omega], conjugated if conj.  The
-    omega = 0 plane, and the Nyquist plane of an even nt, are their own
-    mirror images and are already in the rfftn half, so each is counted
-    once."""
-    nt = full.shape[2]
-    src, dst = full[:, :, (nt - 1) // 2:0:-1], full[:, :, nt // 2 + 1:]
-    # Index i maps to -i mod n: 0 to itself, 1 .. n - 1 to n - 1 .. 1.
-    dst[0, 0] = src[0, 0]
-    dst[0, 1:] = src[0, :0:-1]
-    dst[1:, 0] = src[:0:-1, 0]
-    dst[1:, 1:] = src[:0:-1, :0:-1]
-    if conj:
-        np.conjugate(dst, out=dst)
+# A tuning's energy reads the stored power in place, rather than gathering
+# the rows of its support, where the support is more than _DENSE_SHARE of
+# the grid and its rows would hold more than _GATHER_BINS values (256 KB).
+_DENSE_SHARE = 1 / 3
+_GATHER_BINS = 1 << 15
+
+# Stored bins per slab of the power: a slab and its temporary stay in cache.
+_SLAB_BINS = 1 << 15
 
 
 def _angular_frequencies(n: int, pitch: float) -> np.ndarray:
@@ -243,13 +268,17 @@ def forward_fft3(seq: SequenceVolume) -> SpectrumVolume:
     """Unitary 3D DFT of a sequence (Parseval holds with constant 1).
 
     The input is real, so one rfftn computes the half spectrum omega = 0 ..
-    nt // 2; the spectrum mirrors the rest when it needs it."""
+    nt // 2, in place in one C-ordered array: numpy transforms the time
+    axis into it and then the two spatial axes where they lie, with the
+    same bytes as a plain rfftn.  The spectrum mirrors the rest when it
+    needs it."""
     global _fft_calls
     if not np.all(np.isfinite(seq.data)):
         raise ValueError("sequence contains non-finite samples")
     _fft_calls += 1
-    return SpectrumVolume._of_real(np.fft.rfftn(seq.data, norm="ortho"), seq.nt,
-                                   seq.pixel_pitch, seq.frame_pitch)
+    half = np.empty((seq.nx, seq.ny, seq.nt // 2 + 1), dtype=complex)
+    np.fft.rfftn(seq.data, norm="ortho", out=half)
+    return SpectrumVolume._of_real(half, seq.nt, seq.pixel_pitch, seq.frame_pitch)
 
 
 def inverse_fft3(spec: SpectrumVolume) -> np.ndarray:
@@ -315,7 +344,7 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class _Sampling:
     """What the tunings of one kernel shape and orientation share on a grid,
     whatever their speed and scales, formed on first use: the frequencies,
-    periods and cutoffs, and the points of each alias range."""
+    periods and cutoffs, and the points and bins of each alias range."""
 
     def __init__(self, spec: SpectrumVolume, params: GcmParams, theta: float):
         self.params, self.theta = params, theta
@@ -327,7 +356,12 @@ class _Sampling:
         ct, st = math.cos(theta), math.sin(theta)
         self.normals = tuple((ct * px - st * py, st * px + ct * py)
                              for px, py in (params.cone.dual_plus, params.cone.dual_minus))
-        self._points, self._omegas = {}, {}
+        self._points, self._support, self._omegas = {}, {}, {}
+
+    def spatial_terms(self, g: GroupElement) -> range:
+        """The spatial alias terms of tuning g, per axis."""
+        return _alias_range(self.radial_cutoff / (g.a_s * g.c**SPEED_EXPONENT_SPATIAL),
+                            self.k_period)
 
     def cone_points(self, terms: range):
         """(flat grid index, kx, ky) of the cone points of every alias term
@@ -359,6 +393,25 @@ class _Sampling:
         margin = -1e-9 * (np.abs(u) + np.abs(v))
         i, j = np.nonzero((u * ax + v * ay >= margin) & (u * bx + v * by >= margin))
         return rows[i] * ny + cols[j], kx[i], ky[j]
+
+    def support(self, terms: range, power: np.ndarray, reflection: np.ndarray):
+        """(bins, rows): the flat bins k, sorted, that the cone points of
+        terms reach, the only bins where the spatial factor can be non-zero,
+        and the rows of the (nx * ny, stored bins) power there over all nt
+        bins, each mirrored bin taken from row -k, P(k, -h) = P(-k, h).
+        None where the support is too large to gather: more than
+        _DENSE_SHARE of the grid and more than _GATHER_BINS values."""
+        if terms not in self._support:
+            nx, ny, nt, nh = self.kx.size, self.ky.size, self.w.size, power.shape[1]
+            bins = np.flatnonzero(np.bincount(self.cone_points(terms)[0], minlength=nx * ny))
+            support = None
+            if bins.size <= _DENSE_SHARE * nx * ny or bins.size * nt <= _GATHER_BINS:
+                rows = np.empty((bins.size, nt))
+                rows[:, :nh] = power[bins]
+                rows[:, nh:] = power[reflection[bins], nt - nh:0:-1]
+                support = bins, rows
+            self._support[terms] = support
+        return self._support[terms]
 
     def omegas(self, terms: range) -> np.ndarray:
         """-(omega + jt * period), a row per temporal alias term jt of terms."""
@@ -393,11 +446,10 @@ def tuned_filter_factors(
         raise ValueError("translation parameters must be zero; the inverse FFT supplies them")
 
     geo = _sampling(spec, params, g.theta)
-    k_cut = geo.radial_cutoff / (g.a_s * g.c**SPEED_EXPONENT_SPATIAL)
     t_cut = geo.temporal_cutoff * g.c**SPEED_EXPONENT_TEMPORAL / g.a_t
 
     # bincount adds each bin's values from 0 in the order they come: term after term.
-    index, kx, ky = geo.cone_points(_alias_range(k_cut, geo.k_period))
+    index, kx, ky = geo.cone_points(geo.spatial_terms(g))
     S = np.bincount(index, tuned_spatial(g, params, kx, ky), spec.nx * spec.ny) * _prefactor(g)
     T = np.add.reduce(tuned_temporal(g, params, geo.omegas(_alias_range(t_cut, geo.w_period))))
     return S.reshape(spec.nx, spec.ny), T
@@ -449,6 +501,24 @@ def energy_density(coeffs: WaveletCoefficients, frame_range) -> float:
     return float(np.sum(block.real**2 + block.imag**2))
 
 
+def _parseval_energy(spec: SpectrumVolume, S2: np.ndarray, T2: np.ndarray,
+                     geo: _Sampling, terms: range) -> float:
+    """sum_k sum_omega P(k, omega) S2(k) T2(omega) over all nt bins, read
+    off the stored ones.  The sum runs over the rows of the support that
+    _Sampling.support gathers; for a support too large to gather, every
+    stored bin h adds P(k, h) [S2(k) T2(h) + S2(-k) T2(-h)], the second
+    term for the mirrored bins only."""
+    power = spec.power.reshape(spec.nx * spec.ny, -1)
+    support = geo.support(terms, power, spec._reflection)
+    if support is not None:
+        bins, rows = support
+        return float((rows @ T2) @ S2.ravel()[bins])
+    nh, S2 = power.shape[1], S2.ravel()
+    direct, mirror = np.stack((S2, S2[spec._reflection])) @ power
+    # T2(-h) for h = 1 .. _mirrored is T2[nt - 1], T2[nt - 2], ...
+    return float(direct @ T2[:nh] + mirror[1:1 + spec._mirrored] @ T2[:nh - 1:-1])
+
+
 def tuned_energy_detail(
     spec: SpectrumVolume,
     g: GroupElement,
@@ -460,7 +530,9 @@ def tuned_energy_detail(
 
     The peak power gain max|response|^2 bounds the energy any input of unit
     norm can produce; scans use it to tell genuine responses from FFT
-    round-off dust.  The Parseval path reads the spectrum's cached power.
+    round-off dust.  The Parseval path contracts the spectrum's cached
+    power of its stored bins, where each mirrored bin stands also for its
+    image, P(k, -omega) = P(-k, omega); no full-size power is formed.
     """
     frames = range(spec.nt) if frame_range is None else _frame_indices(frame_range, spec.nt)
     all_frames = len(frames) == spec.nt
@@ -474,8 +546,8 @@ def tuned_energy_detail(
     S2, T2 = S**2, T**2
     gain = float(S2.max()) * float(T2.max())
     if method == "parseval":
-        per_pixel = spec.power.reshape(spec.nx * spec.ny, spec.nt) @ T2
-        return float(per_pixel @ S2.ravel()), gain
+        geo = _sampling(spec, params, g.theta)
+        return _parseval_energy(spec, S2, T2, geo, geo.spatial_terms(g)), gain
     coeffs = WaveletCoefficients(apply_spectral_filter(spec, S[:, :, None] * T), g)
     return energy_density(coeffs, frames), gain
 

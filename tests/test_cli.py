@@ -438,6 +438,8 @@ def test_kernel_bad_grid_extent_exits_2_and_writes_nothing(tmp_path, flag, value
     ("--type", "morlet2d", "--epsilon", "inf"),
     ("--type", "morlet2d", "--k0", "nan,0"),
     ("--type", "cauchy2d", "--eta", "nan,0"),
+    ("--type", "gc2d", "--theta-axis", "nan"),
+    ("--type", "gcm", "--theta-axis", "inf"),
 ])
 def test_kernel_non_finite_parameter_exits_2_and_writes_nothing(tmp_path, flags):
     code = run("kernel", *flags, "--grid", "4x4x1", "--out", str(tmp_path / "k"))

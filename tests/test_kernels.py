@@ -46,6 +46,14 @@ def test_cone_requires_strict_convexity():
         ConeSpec(alpha=-0.1)
 
 
+@pytest.mark.parametrize("axis", [math.nan, math.inf, -math.inf])
+def test_cone_requires_a_finite_axis(axis):
+    # No point passes the inside test of a NaN axis, so the kernel would be
+    # silently zero everywhere.
+    with pytest.raises(ValueError, match="theta_axis must be finite"):
+        ConeSpec(alpha=math.pi / 16, theta_axis=axis)
+
+
 @pytest.mark.parametrize("alpha", [math.pi / 256, math.pi / 16, math.pi / 4, 1.5])
 @pytest.mark.parametrize("axis", [0.0, 0.7, -math.pi / 3])
 def test_dual_cone_orthogonality(alpha, axis):

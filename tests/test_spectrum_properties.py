@@ -1,6 +1,7 @@
 """Property tests of the half-spectrum engine: the spectrum of a real
-sequence holds only its rfftn half and mirrors the rest, on odd and even
-sizes, non-unit pitches and C- or Fortran-ordered input."""
+sequence holds only its rfftn half and mirrors the rest, and a tuning's
+energy read off the half equals the contraction of the full power, on odd
+and even sizes, non-unit pitches and C- or Fortran-ordered input."""
 
 import math
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conewave import stcwt
 from conewave.kernels import ConeSpec, GcmParams, GroupElement
 from conewave.speedscan import ScanConfig, scan_orientations, scan_speeds
 from conewave.stcwt import (
@@ -17,6 +19,7 @@ from conewave.stcwt import (
     fft_call_count,
     forward_fft3,
     tuned_energy_detail,
+    tuned_filter_factors,
 )
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
@@ -41,9 +44,14 @@ def reference(seq):
 @SETTINGS
 @given(sequences())
 def test_power_is_the_squared_modulus_of_the_full_fft(seq):
-    want = np.abs(reference(seq)) ** 2
+    # The power holds the stored bins, omega = 0 .. nt // 2: bit for bit
+    # |rfftn|^2, and the full |fftn|^2 there up to round-off.
+    nh = seq.nt // 2 + 1
+    want = np.abs(reference(seq)[:, :, :nh]) ** 2
+    half = np.fft.rfftn(seq.data, norm="ortho")
     power = forward_fft3(seq).power
-    assert power.shape == seq.data.shape and power.flags.c_contiguous
+    assert power.shape == (seq.nx, seq.ny, nh) and power.flags.c_contiguous
+    assert power.tobytes() == (half.real**2 + half.imag**2).tobytes()
     assert np.max(np.abs(power - want)) <= 1e-14 * np.max(want)
 
 
@@ -64,10 +72,10 @@ def test_lazy_data_is_the_full_fft_and_read_only(seq):
 @SETTINGS
 @given(sequences())
 def test_power_and_data_agree_bit_for_bit(seq):
-    # Both are mirrored from the same half, and conjugation only flips the
-    # sign of the imaginary part.
+    # The power is of the stored bins, and data keeps those bins' own values.
     spec = forward_fft3(seq)
-    assert spec.power.tobytes() == (spec.data.real**2 + spec.data.imag**2).tobytes()
+    stored = spec.data[:, :, :seq.nt // 2 + 1]
+    assert spec.power.tobytes() == (stored.real**2 + stored.imag**2).tobytes()
 
 
 @SETTINGS
@@ -95,6 +103,43 @@ def test_parseval_energy_equals_the_inverse_path(seq, theta, c, a_s):
     slow, _ = tuned_energy_detail(spec, g, params, method="inverse")
     # Round-off is relative to the largest energy the tuning can reach.
     assert abs(fast - slow) <= 1e-12 * max(slow, gain * spec.energy())
+
+
+@st.composite
+def spectra(draw):
+    """(spectrum, its full-size power): the half spectrum of a real sequence,
+    or a hand-built complex spectrum, Hermitian or not, that stores every bin."""
+    if draw(st.booleans()):
+        seq = draw(sequences())
+        return forward_fft3(seq), np.abs(reference(seq)) ** 2
+    shape = (draw(st.integers(2, 9)), draw(st.integers(2, 9)), draw(st.integers(2, 9)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return SpectrumVolume(data, draw(pitches), draw(pitches)), np.abs(data) ** 2
+
+
+# Module settings that send every tuning's energy through one of its two
+# paths: rows of the support gathered over all nt bins (every support of
+# these small grids is), or the stored power read in place.
+ENERGY_PATHS = {"gathered": {}, "in place": {"_DENSE_SHARE": 0.0, "_GATHER_BINS": 0}}
+
+
+@SETTINGS
+@given(spectra(), st.floats(-math.pi, math.pi), st.floats(0.5, 2.5), st.floats(0.5, 2.0),
+       st.sampled_from(sorted(ENERGY_PATHS)))
+def test_half_spectrum_energy_equals_the_full_power_contraction(spectrum, theta, c, a_s, path):
+    spec, full_power = spectrum
+    params = GcmParams(l=2, m=2, sigma=1.0, cone=ConeSpec(alpha=math.pi / 3))
+    g = GroupElement(theta=theta, a_s=a_s, a_t=1.0, c=c)
+    with pytest.MonkeyPatch.context() as patch:
+        for name, value in ENERGY_PATHS[path].items():
+            patch.setattr(stcwt, name, value)
+        energy, gain = tuned_energy_detail(spec, g, params, method="parseval")
+    # The oracle contracts the full |fftn|^2 over all nt bins, with no mirror.
+    S, T = tuned_filter_factors(spec, g, params)
+    nx, ny, nt = full_power.shape
+    want = float((full_power.reshape(nx * ny, nt) @ T**2) @ (S**2).ravel())
+    assert abs(energy - want) <= 1e-14 * max(want, gain * float(full_power.sum()))
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)

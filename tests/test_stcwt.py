@@ -1,6 +1,8 @@
 """Transform engine against brute-force DFT and correlation oracles."""
 
+import gc
 import math
+import tracemalloc
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -315,7 +317,8 @@ def test_parseval_shortcut_requires_full_frame_range():
 
 def test_spectrum_caches_its_power_and_is_frozen():
     spec = forward_fft3(random_sequence((16, 12, 8), seed=21))
-    expected = spec.data.real**2 + spec.data.imag**2
+    stored = spec.data[:, :, :5]  # the rfftn half: omega = 0 .. 4
+    expected = stored.real**2 + stored.imag**2
     assert spec.power.tobytes() == expected.tobytes()
     assert spec.power is spec.power
     with pytest.raises(FrozenInstanceError):
@@ -341,7 +344,7 @@ def test_only_the_parseval_path_reads_the_shared_power():
     expected = {repr(kw): tuned_energy_detail(spec, g, params, **kw)
                 for kw in ({"method": "inverse"}, {"frame_range": [0, 2, 5]})}
     assert "power" not in vars(spec)  # neither path formed the power
-    vars(spec)["power"] = np.zeros(spec.data.shape)  # read by any path, it would give energy 0
+    vars(spec)["power"] = np.zeros(spec._stored.shape)  # read by any path, it would give energy 0
     assert tuned_energy(spec, g, params, method="parseval") == 0.0
     for kw in ({"method": "inverse"}, {"frame_range": [0, 2, 5]}):
         assert tuned_energy_detail(spec, g, params, **kw) == expected[repr(kw)]
@@ -425,8 +428,8 @@ def test_stv_input_gets_a_c_ordered_power(tmp_path):
     seq = read_stv(path)
     assert seq.data.flags.f_contiguous and not seq.data.flags.c_contiguous
     spec = forward_fft3(seq)
-    assert spec.power.flags.c_contiguous
-    assert np.shares_memory(spec.power, spec.power.reshape(spec.nx * spec.ny, spec.nt))
+    assert spec.power.shape == (13, 10, 4) and spec.power.flags.c_contiguous
+    assert np.shares_memory(spec.power, spec.power.reshape(spec.nx * spec.ny, 4))
 
 
 def test_scan_reads_the_same_energies_off_c_and_fortran_ordered_input():
@@ -453,15 +456,39 @@ def test_a_scan_never_forms_the_full_spectrum(monkeypatch, refine):
     monkeypatch.setattr(speedscan, "forward_fft3", capture)
     scan_speeds(random_sequence((12, 10, 7), seed=24), ScanConfig(refine=refine))
     (spec,) = spectra
-    assert spec._half.shape == (12, 10, 4)
+    assert spec._stored.shape == (12, 10, 4)
     assert "power" in vars(spec) and "data" not in vars(spec)
+    assert spec.power.shape == (12, 10, 4)  # the power of the half alone
+
+
+# What a scan may allocate beyond the half spectrum and its power: the
+# slabs that form the power, the gathered rows of the small supports
+# (about 0.13 MB here), the grid's reflection, the cone points and the
+# filter factors.
+SCAN_MARGIN_BYTES = 1 << 20
+
+
+def test_a_scan_peaks_at_the_half_spectrum_and_its_power():
+    # A full-size power, or a transform that allocates per axis, would
+    # raise the peak by at least one more half spectrum (2.5 MB here).
+    seq = random_sequence((96, 96, 32), seed=26)
+    half = 96 * 96 * 17 * np.dtype(complex).itemsize
+    power = half // 2
+    gc.collect()
+    tracemalloc.start()
+    try:
+        scan_speeds(seq, ScanConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < half + power + SCAN_MARGIN_BYTES
 
 
 @pytest.mark.parametrize("nt", [2, 3, 8, 9])
 def test_forward_fft3_keeps_only_the_rfftn_half(nt):
     seq = random_sequence((6, 5, nt), seed=25)
     spec = forward_fft3(seq)
-    assert spec._half.tobytes() == np.fft.rfftn(seq.data, norm="ortho").tobytes()
+    assert spec._stored.tobytes() == np.fft.rfftn(seq.data, norm="ortho").tobytes()
     assert (spec.nx, spec.ny, spec.nt) == (6, 5, nt)
     # The kept bins are the half's own values, not mirrored ones.
-    assert spec.data[:, :, :nt // 2 + 1].tobytes() == spec._half.tobytes()
+    assert spec.data[:, :, :nt // 2 + 1].tobytes() == spec._stored.tobytes()
