@@ -13,14 +13,14 @@ conj X(-k, -omega), and the forward transform is one rfftn, computed in
 place in one array: the half spectrum of the bins omega = 0 .. nt // 2.
 The scan works on that half alone.  Its power, and with it the total
 energy, is formed in one pass over the stored bins, and every tuning
-contracts against it, most at only the rows that their cone points reach,
-gathered once per alias range.  Each bin 1 <= omega <= (nt - 1) // 2
-stands for itself and its mirror image (-k, -omega), so the contraction
-adds that image's term, S^2(-k) T^2(-omega), and the energy counts the
-bin twice.  The omega = 0 plane, and for an even nt the Nyquist plane
-omega = nt // 2, are their own mirror images and count once.  The full
-complex spectrum is mirrored from the half only for the inverse-FFT path,
-which a scan over all frames never takes.
+contracts only its rows at the spatial bins where the tuning's S is not
+zero.  Each bin 1 <= omega <= (nt - 1) // 2 stands for itself and its
+mirror image (-k, -omega), so the contraction also reads that image's
+power, at row -k, and the energy counts the bin twice.  The omega = 0
+plane, and for an even nt the Nyquist plane omega = nt // 2, are their own
+mirror images and count once.  The full complex spectrum is mirrored from
+the half only for the inverse-FFT path, which a scan over all frames never
+takes.
 
 Two sampling conventions, both documented here because they are easy to
 get wrong:
@@ -42,8 +42,11 @@ get wrong:
   high-speed captures work at coarse temporal scales).  The spatial
   factor is exactly zero outside its rotated cone, so each spatial alias
   term is sampled only at the grid points inside the cone or within a
-  rounding margin of its edges, found once per scan and orientation, and
-  all the alias terms of a tuning go through one kernel call per factor.
+  rounding margin of its edges, found once per scan and orientation.
+  Past the axial cutoff of _radial_cutoff every value inside the cone is
+  below e^-40 of the mother's on-axis peak, so each tuning keeps only
+  the points short of it, and all the alias terms of a tuning go through
+  one kernel call per factor.
 
 Boundary model is periodic (circular) throughout; window the input if
 leakage matters.
@@ -146,8 +149,9 @@ class SpectrumVolume(_Sampled):
     mirrors none.  The spectrum of a real sequence (forward_fft3) stores
     only its rfftn half, the bins omega = 0 .. nt // 2; its bins
     1 .. (nt - 1) // 2 are mirrored, each standing also for its image
-    (-k, -omega).  The power, the energy and every tuning's contraction
-    read the stored bins and count the mirrored ones twice, the same way
+    (-k, -omega).  The power and the energy read the stored bins and count
+    the mirrored ones twice, and a tuning's contraction reads the rows of
+    its spatial support and each mirrored image at row -k, the same way
     for both.  The full data of a real sequence is mirrored from the half
     only when data is read; a scan never reads it.  data is read-only
     either way, so the cached power cannot go stale.
@@ -237,12 +241,6 @@ class SpectrumVolume(_Sampled):
         return self._power_and_energy[1]
 
 
-# A tuning's energy reads the stored power in place, rather than gathering
-# the rows of its support, where the support is more than _DENSE_SHARE of
-# the grid and its rows would hold more than _GATHER_BINS values (256 KB).
-_DENSE_SHARE = 1 / 3
-_GATHER_BINS = 1 << 15
-
 # Stored bins per slab of the power: a slab and its temporary stay in cache.
 _SLAB_BINS = 1 << 15
 
@@ -287,10 +285,18 @@ def inverse_fft3(spec: SpectrumVolume) -> np.ndarray:
 
 
 def _radial_cutoff(params: GcmParams) -> float:
-    """Radius beyond which the mother spatial profile is below 1e-16 of its
-    peak (on-axis bound; off-axis values are smaller)."""
+    """Axial cutoff of the mother spatial profile: past it, every value
+    inside the cone is below e^-40 of the on-axis peak.
+
+    At axial coordinate u inside the cone, dm^l dp^m <= C (u sin alpha)^n,
+    with n = l + m and C = (2l/n)^l (2m/n)^m, which is 1 at l = m, while
+    the on-axis value is (u sin alpha)^n exp(-sigma/2 (u - chi)^2).  So
+    the cutoff is where that on-axis value falls e^-40 / C below its peak.
+    It bounds the axial coordinate, not the radius: off the axis, the
+    cone reaches |k| = u / cos(alpha)."""
     n = params.l + params.m
     peak = math.sqrt(n)
+    log_c = params.l * math.log(2 * params.l / n) + params.m * math.log(2 * params.m / n)
 
     def log_profile(r):
         return n * math.log(r) - 0.5 * params.sigma * (r - params.chi) ** 2
@@ -298,7 +304,7 @@ def _radial_cutoff(params: GcmParams) -> float:
     top = log_profile(peak)
     r = peak
     step = max(0.25, 2.0 / math.sqrt(params.sigma))
-    while log_profile(r) > top - 40.0 and r < peak + 400 * step:
+    while log_profile(r) > top - 40.0 - log_c and r < peak + 400 * step:
         r += step
     return r
 
@@ -344,7 +350,7 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class _Sampling:
     """What the tunings of one kernel shape and orientation share on a grid,
     whatever their speed and scales, formed on first use: the frequencies,
-    periods and cutoffs, and the points and bins of each alias range."""
+    periods and cutoffs, and the cone points of each alias range."""
 
     def __init__(self, spec: SpectrumVolume, params: GcmParams, theta: float):
         self.params, self.theta = params, theta
@@ -352,11 +358,12 @@ class _Sampling:
         self.k_period, self.w_period = 2 * np.pi / spec.pixel_pitch, 2 * np.pi / spec.frame_pitch
         self.radial_cutoff, self.temporal_cutoff = _radial_cutoff(params), _temporal_cutoff(params)
         # The cone's inward edge normals, formed as the kernel forms its
-        # inside test: the dual edge vectors turned by theta.
+        # inside test, and its axis: the dual edge vectors and the axis
+        # turned by theta.
         ct, st = math.cos(theta), math.sin(theta)
-        self.normals = tuple((ct * px - st * py, st * px + ct * py)
-                             for px, py in (params.cone.dual_plus, params.cone.dual_minus))
-        self._points, self._support, self._omegas = {}, {}, {}
+        *self.normals, self.axis = ((ct * px - st * py, st * px + ct * py) for px, py in (
+            params.cone.dual_plus, params.cone.dual_minus, params.cone.axis_unit))
+        self._points, self._omegas = {}, {}
 
     def spatial_terms(self, g: GroupElement) -> range:
         """The spatial alias terms of tuning g, per axis."""
@@ -364,8 +371,9 @@ class _Sampling:
                             self.k_period)
 
     def cone_points(self, terms: range):
-        """(flat grid index, kx, ky) of the cone points of every alias term
-        of terms x terms, concatenated term after term in summing order."""
+        """(flat grid index, kx, ky, u) of the cone points of every alias
+        term of terms x terms, concatenated term after term in summing
+        order; u = k . axis is the axial coordinate."""
         if terms not in self._points:
             per_term = [self._cone_points(jx, jy) for jx in terms for jy in terms]
             self._points[terms] = tuple(np.concatenate(part) for part in zip(*per_term))
@@ -385,33 +393,15 @@ class _Sampling:
         for ex, ey in self.normals:
             box = box and _clip(box, ex * hx, ey * hy, (ex * jx + ey * jy) * self.k_period)
         if not box:
-            return np.empty(0, dtype=int), np.empty(0), np.empty(0)
+            return np.empty(0, dtype=int), np.empty(0), np.empty(0), np.empty(0)
         us, vs = [u for u, _ in box], [v for _, v in box]
         rows, cols = _bins(min(us), max(us), nx), _bins(min(vs), max(vs), ny)
         kx, ky = self.kx[rows] + jx * self.k_period, self.ky[cols] + jy * self.k_period
-        u, v = kx[:, None], ky[None, :]
-        margin = -1e-9 * (np.abs(u) + np.abs(v))
-        i, j = np.nonzero((u * ax + v * ay >= margin) & (u * bx + v * by >= margin))
-        return rows[i] * ny + cols[j], kx[i], ky[j]
-
-    def support(self, terms: range, power: np.ndarray, reflection: np.ndarray):
-        """(bins, rows): the flat bins k, sorted, that the cone points of
-        terms reach, the only bins where the spatial factor can be non-zero,
-        and the rows of the (nx * ny, stored bins) power there over all nt
-        bins, each mirrored bin taken from row -k, P(k, -h) = P(-k, h).
-        None where the support is too large to gather: more than
-        _DENSE_SHARE of the grid and more than _GATHER_BINS values."""
-        if terms not in self._support:
-            nx, ny, nt, nh = self.kx.size, self.ky.size, self.w.size, power.shape[1]
-            bins = np.flatnonzero(np.bincount(self.cone_points(terms)[0], minlength=nx * ny))
-            support = None
-            if bins.size <= _DENSE_SHARE * nx * ny or bins.size * nt <= _GATHER_BINS:
-                rows = np.empty((bins.size, nt))
-                rows[:, :nh] = power[bins]
-                rows[:, nh:] = power[reflection[bins], nt - nh:0:-1]
-                support = bins, rows
-            self._support[terms] = support
-        return self._support[terms]
+        x, y = kx[:, None], ky[None, :]
+        margin = -1e-9 * (np.abs(x) + np.abs(y))
+        i, j = np.nonzero((x * ax + y * ay >= margin) & (x * bx + y * by >= margin))
+        kx, ky = kx[i], ky[j]
+        return rows[i] * ny + cols[j], kx, ky, kx * self.axis[0] + ky * self.axis[1]
 
     def omegas(self, terms: range) -> np.ndarray:
         """-(omega + jt * period), a row per temporal alias term jt of terms."""
@@ -438,8 +428,11 @@ def tuned_filter_factors(
     and the (nt,) temporal response, both periodized and sampled with the
     engine's temporal orientation, each in one kernel call on all its alias
     terms.  A spatial term is sampled only at its rotated cone's grid
-    points and added there in the same order and with the same arithmetic
-    as over the whole grid, where it is exactly zero outside the cone.
+    points short of the axial cutoff, and added there in the same order
+    and with the same arithmetic as over the whole grid, where it is
+    exactly zero outside the cone.  So a bin none of whose terms is cut
+    gets the bytes of the whole grid, and each cut value is below e^-40 of
+    the mother's on-axis peak, times the prefactor.
     Translations must be zero; the inverse FFT supplies them.
     """
     if g.bx != 0.0 or g.by != 0.0 or g.tau != 0.0:
@@ -449,8 +442,10 @@ def tuned_filter_factors(
     t_cut = geo.temporal_cutoff * g.c**SPEED_EXPONENT_TEMPORAL / g.a_t
 
     # bincount adds each bin's values from 0 in the order they come: term after term.
-    index, kx, ky = geo.cone_points(geo.spatial_terms(g))
-    S = np.bincount(index, tuned_spatial(g, params, kx, ky), spec.nx * spec.ny) * _prefactor(g)
+    index, kx, ky, u = geo.cone_points(geo.spatial_terms(g))
+    keep = u <= geo.radial_cutoff / (g.a_s * g.c**SPEED_EXPONENT_SPATIAL)
+    S = np.bincount(index[keep], tuned_spatial(g, params, kx[keep], ky[keep]),
+                    spec.nx * spec.ny) * _prefactor(g)
     T = np.add.reduce(tuned_temporal(g, params, geo.omegas(_alias_range(t_cut, geo.w_period))))
     return S.reshape(spec.nx, spec.ny), T
 
@@ -501,22 +496,18 @@ def energy_density(coeffs: WaveletCoefficients, frame_range) -> float:
     return float(np.sum(block.real**2 + block.imag**2))
 
 
-def _parseval_energy(spec: SpectrumVolume, S2: np.ndarray, T2: np.ndarray,
-                     geo: _Sampling, terms: range) -> float:
+def _parseval_energy(spec: SpectrumVolume, S2: np.ndarray, T2: np.ndarray) -> float:
     """sum_k sum_omega P(k, omega) S2(k) T2(omega) over all nt bins, read
-    off the stored ones.  The sum runs over the rows of the support that
-    _Sampling.support gathers; for a support too large to gather, every
-    stored bin h adds P(k, h) [S2(k) T2(h) + S2(-k) T2(-h)], the second
-    term for the mirrored bins only."""
+    off the rows of the stored power at the bins k where S2 is not zero:
+    each stored bin h adds P(k, h) T2(h), and each mirrored bin adds its
+    image P(k, -h) T2(-h) as well, read at row -k, P(k, -h) = P(-k, h)."""
     power = spec.power.reshape(spec.nx * spec.ny, -1)
-    support = geo.support(terms, power, spec._reflection)
-    if support is not None:
-        bins, rows = support
-        return float((rows @ T2) @ S2.ravel()[bins])
     nh, S2 = power.shape[1], S2.ravel()
-    direct, mirror = np.stack((S2, S2[spec._reflection])) @ power
+    bins = np.flatnonzero(S2 > 0.0)  # on the floats themselves, several times slower
+    direct = power[bins] @ T2[:nh]
     # T2(-h) for h = 1 .. _mirrored is T2[nt - 1], T2[nt - 2], ...
-    return float(direct @ T2[:nh] + mirror[1:1 + spec._mirrored] @ T2[:nh - 1:-1])
+    mirror = power[spec._reflection[bins], 1:1 + spec._mirrored] @ T2[:nh - 1:-1]
+    return float((direct + mirror) @ S2[bins])
 
 
 def tuned_energy_detail(
@@ -546,8 +537,7 @@ def tuned_energy_detail(
     S2, T2 = S**2, T**2
     gain = float(S2.max()) * float(T2.max())
     if method == "parseval":
-        geo = _sampling(spec, params, g.theta)
-        return _parseval_energy(spec, S2, T2, geo, geo.spatial_terms(g)), gain
+        return _parseval_energy(spec, S2, T2), gain
     coeffs = WaveletCoefficients(apply_spectral_filter(spec, S[:, :, None] * T), g)
     return energy_density(coeffs, frames), gain
 

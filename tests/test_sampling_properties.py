@@ -1,16 +1,18 @@
 """Property tests of the cone-point sampler: every tuning samples its spatial
-factor only at the grid points of its rotated cone, with the geometry a
-scan shares across its tunings, and must give the bytes of a sampling over
-the whole grid, on odd and non-square grids, non-unit pitches, any aperture
-and cone edges on the grid axes and diagonals."""
+factor only at the grid points of its rotated cone short of the axial
+cutoff, with the geometry a scan shares across its tunings, and must give
+the bytes of a sampling over the whole grid wherever it cuts no alias
+addend, and differ by at most the cut addends elsewhere, on odd and
+non-square grids, non-unit pitches, any aperture and cone edges on the
+grid axes and diagonals."""
 
 import math
 from unittest import mock
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
-from test_stcwt import full_grid_factors
+from test_stcwt import assert_factors_match_full_grid
 
 from conewave import speedscan
 from conewave.kernels import ConeSpec, GcmParams, GroupElement
@@ -20,10 +22,14 @@ from conewave.stcwt import (
     SpectrumVolume,
     forward_fft3,
     tuned_energy_detail,
-    tuned_filter_factors,
 )
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
+# derandomize seeds a test from a digest of its body.  This is the seed the
+# byte test's body gave before the axial cutoff restated its check, so that
+# it keeps the draws it had.
+BYTES_TEST_SEED = int("339979776621929087993084205952631886560308966070695397113653142653411"
+                      "28814136257827674166861410819096311287755554040")
 ALPHA_MIN, ALPHA_MAX = math.pi / 256, math.pi / 2 - 1e-3
 pitches = st.floats(0.3, 3.0)
 # Multiples of pi/8 can put both cone edges on grid axes or diagonals.
@@ -72,15 +78,15 @@ def kernels(draw, theta_axis=None):
 @example((53, 71, 4), 0.5, 1.0,
          (GcmParams(l=1, m=2, sigma=0.7, cone=ConeSpec(alpha=math.pi / 4)),
           GroupElement(theta=math.pi + math.pi / 4, a_s=3.0, a_t=2.0, c=6.0)))
-# 41 x 41 alias terms on 6 bins, 80-84 non-zero values on each: the bytes
-# hold only if each bin adds its values in the full grid's term order.
+# 41 x 41 alias terms on 6 bins, 80-84 non-zero values on each, none of
+# them cut on 3 bins: the bytes of those hold only if each bin adds its
+# values in the full grid's term order.
 @example((2, 3, 4), 3.0, 1.0, (GcmParams(), GroupElement(a_s=0.3)))
+@seed(BYTES_TEST_SEED)
 def test_cone_points_give_the_bytes_of_the_full_grid(shape, pixel_pitch, frame_pitch, kernel):
     params, g = kernel
-    spec = SpectrumVolume(np.zeros(shape, dtype=complex), pixel_pitch, frame_pitch)
-    for got, want in zip(tuned_filter_factors(spec, g, params),
-                         full_grid_factors(spec, g, params)):
-        assert got.tobytes() == want.tobytes()
+    assert_factors_match_full_grid(
+        SpectrumVolume(np.zeros(shape, dtype=complex), pixel_pitch, frame_pitch), g, params)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conewave import stcwt
 from conewave.kernels import ConeSpec, GcmParams, GroupElement
 from conewave.speedscan import ScanConfig, scan_orientations, scan_speeds
 from conewave.stcwt import (
@@ -118,23 +117,13 @@ def spectra(draw):
     return SpectrumVolume(data, draw(pitches), draw(pitches)), np.abs(data) ** 2
 
 
-# Module settings that send every tuning's energy through one of its two
-# paths: rows of the support gathered over all nt bins (every support of
-# these small grids is), or the stored power read in place.
-ENERGY_PATHS = {"gathered": {}, "in place": {"_DENSE_SHARE": 0.0, "_GATHER_BINS": 0}}
-
-
 @SETTINGS
-@given(spectra(), st.floats(-math.pi, math.pi), st.floats(0.5, 2.5), st.floats(0.5, 2.0),
-       st.sampled_from(sorted(ENERGY_PATHS)))
-def test_half_spectrum_energy_equals_the_full_power_contraction(spectrum, theta, c, a_s, path):
+@given(spectra(), st.floats(-math.pi, math.pi), st.floats(0.5, 2.5), st.floats(0.5, 2.0))
+def test_half_spectrum_energy_equals_the_full_power_contraction(spectrum, theta, c, a_s):
     spec, full_power = spectrum
     params = GcmParams(l=2, m=2, sigma=1.0, cone=ConeSpec(alpha=math.pi / 3))
     g = GroupElement(theta=theta, a_s=a_s, a_t=1.0, c=c)
-    with pytest.MonkeyPatch.context() as patch:
-        for name, value in ENERGY_PATHS[path].items():
-            patch.setattr(stcwt, name, value)
-        energy, gain = tuned_energy_detail(spec, g, params, method="parseval")
+    energy, gain = tuned_energy_detail(spec, g, params, method="parseval")
     # The oracle contracts the full |fftn|^2 over all nt bins, with no mirror.
     S, T = tuned_filter_factors(spec, g, params)
     nx, ny, nt = full_power.shape
