@@ -31,6 +31,17 @@ profile and the temporal envelope of the kernels module.  Lambda = sum
 over (l, n), in pair order, of (sum_q S**2) * T**2, added one pair at a
 time, so batching does not change a bit.
 
+The GC profile is exactly 0 outside the cone, and at the default aperture
+each point of the search grid lies in one of the 2*q1 rotated cones.  So on
+more than one spatial point, Lambda and its shell tail evaluate a
+GcmParams kernel only at the rotations of each point that _maybe_in_cone
+keeps (_live_rotations): one per point at the defaults, two at q1 = 16.
+Every rotation left out adds an exact +0.0 to a sum over q that adds one
+rotation after the other, so the bytes are those of all 2*q1 rotations.
+The shell tail takes the largest term of each pair from the largest of
+its two factors along the axes where the other one is broadcast, which
+rounding, monotone on factors >= 0, leaves exact.
+
 Gamma skips the terms it proves to be +0.0 (_live_pairs): a pair whose
 temporal product T0 * T1 is 0 everywhere, and every pair at once where no
 rotated point lies in the cone both unshifted and shifted, or a pair
@@ -151,28 +162,33 @@ def tight_frame_stub(disc: Discretization):
     log_c0 = math.log(disc.c0)
     theta0 = disc.theta0
 
+    def snapped_zero(v, divisor):
+        """floor(v / divisor + 1e-9) == 0, computed in place in v."""
+        v /= divisor
+        v += 1e-9
+        return np.floor(v, out=v) == 0
+
     def response(kx, ky, omega):
-        kx = np.asarray(kx, dtype=float)
-        ky = np.asarray(ky, dtype=float)
-        omega = np.asarray(omega, dtype=float)
+        shape = np.broadcast(kx, ky, omega).shape
+        kx, ky, omega = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (kx, ky, omega))
         r = np.hypot(kx, ky)
-        ok = (r > 0) & (omega > 0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x = np.log(np.where(ok, r, 1.0))
-            y = np.log(np.where(ok, omega, 1.0))
-            u = (x - y) / log_c0
-            s = (2 * x + y) / (3 * log_a0)
-            phi = np.mod(np.arctan2(ky, kx), 2 * math.pi)
         # Cell membership via a tolerance-snapped floor: evaluations of the
         # same point under different lattice shifts round independently, and
         # the snap keeps them from double- or zero-counting cell boundaries.
-        inside = (
-            ok
-            & (np.floor(u + 1e-9) == 0)
-            & (np.floor(s + 1e-9) == 0)
-            & (np.floor(phi / theta0 + 1e-9) == 0)
-        )
-        return np.where(inside, 1.0, 0.0)
+        # The spatial and temporal parts are evaluated at their own shapes,
+        # and each full-size value in one buffer.  Where r or omega is not
+        # positive the logs are not finite, and the r > 0 and omega > 0 tests
+        # reject the point.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x, y = np.log(r), np.log(omega)
+            ok = (r > 0) & snapped_zero(np.mod(np.arctan2(ky, kx), 2 * math.pi), theta0)
+            buf = np.subtract(x, y)
+            inside = snapped_zero(buf, log_c0)
+            inside &= ok
+            inside &= omega > 0
+            np.add(2 * x, y, out=buf)
+            inside &= snapped_zero(buf, 3 * log_a0)
+        return inside.astype(float).reshape(shape)
 
     return response
 
@@ -223,13 +239,14 @@ def _rotation_chunks(kernel, sp, st, ux, uy, omega, q_size):
             yield qs, np.abs(kernel(sp * ux[qs], sp * uy[qs], st * omega))
 
 
-def _lattice_batches(kernel, disc: Discretization, scales, kx, ky, omega):
+def _lattice_batches(kernel, disc: Discretization, scales, kx, ky, omega, rotated=None):
     """Yield (rows, chunks) per batch of lattice pairs, in pair order.
 
     rows slices the pairs of scales = (spatial scales, temporal scales) that
     the batch holds; chunks yields (qs, S), the spatial magnitudes of those
-    pairs under the rotations qs, shaped (pairs, rotations, *points).  For a
-    GcmParams kernel S is the GC profile, in one chunk.  A callable kernel
+    pairs under the rotations qs, shaped (pairs, rotations, *points).  The
+    rotations are _rotated(disc, kx, ky) unless `rotated` gives others.  For
+    a GcmParams kernel S is the GC profile, in one chunk.  A callable kernel
     does not factor: S is its full magnitude (T is 1), and the rotations of
     a pair are split into chunks of at most _BATCH_POINTS points.  A batch
     holds at most _BATCH_POINTS points, and at least one pair.
@@ -237,7 +254,7 @@ def _lattice_batches(kernel, disc: Discretization, scales, kx, ky, omega):
     separable = isinstance(kernel, GcmParams)
     if not separable and not callable(kernel):
         raise TypeError(f"kernel must be GcmParams or a callable, got {type(kernel).__name__}")
-    ux, uy = _rotated(disc, kx, ky)
+    ux, uy = _rotated(disc, kx, ky) if rotated is None else rotated
     n_q = len(ux)
     points = np.broadcast(kx, ky, omega).size
     size = max(1, _BATCH_POINTS // (n_q * points))
@@ -278,10 +295,51 @@ def _temporal(kernel, s_t, omega, squared: bool = False):
     return power(t, 2) if squared else t
 
 
+_SLACK = 1e-12  # relative rounding allowance of the cone prunes, 1e4 float64 epsilons
+
+
+def _maybe_in_cone(cone, ux, uy, floor):
+    """False only where (s * ux, s * uy) lies outside the cone at every pair
+    scale s: a dual projection below minus the allowance keeps its sign
+    through the scaling's rounding, and floor = 2**-1000 / (least s) keeps it
+    clear of subnormals.  The proof needs s * ux and s * uy finite.  Lambda
+    drops the rotations it proves outside (_live_rotations), gamma the pairs
+    at a shift (_live_pairs)."""
+    inside = True
+    for ex, ey in (cone.dual_plus, cone.dual_minus):
+        a, b = ux * ex, uy * ey
+        inside = inside & (a + b >= -(_SLACK * (abs(a) + abs(b)) + floor))
+    return inside
+
+
+def _live_rotations(kernel: GcmParams, disc: Discretization, s_sp, kx, ky):
+    """(ux, uy) at the rotations that may put each point in the cone at some
+    pair scale s_sp, in ascending q, packed into as many rows as the point
+    with the most of them needs and padded with NaN, where the GC profile is
+    exactly 0.  A rotation is dropped only where _maybe_in_cone proves it
+    outside and the scaled coordinates cannot overflow, so that proof holds."""
+    ux, uy = _rotated(disc, kx, ky)
+    live = (_maybe_in_cone(kernel.cone, ux, uy, 2.0**-1000 / s_sp.min())
+            | ~(abs(ux) + abs(uy) < 2.0**1000 / s_sp.max()))
+    order = np.argsort(~live, axis=0, kind="stable")[:max(1, live.sum(axis=0).max())]
+    keep = np.take_along_axis(live, order, axis=0)
+    return tuple(np.where(keep, np.take_along_axis(u, order, axis=0), np.nan) for u in (ux, uy))
+
+
 def _square_folds(kernel, disc: Discretization, shell: bool, points, fold=np.add):
-    """Yield per batch of pairs the fold over q of S**2, and T**2."""
+    """Yield per batch of pairs the fold over q of S**2, and T**2.
+
+    A GcmParams kernel on more than one spatial point is evaluated only at
+    the live rotations of each point.  Its fold over q adds one rotation
+    after the other there, and every rotation left out adds an exact +0.0,
+    so the bytes are those of the fold over all 2*q1 rotations.  A lone
+    spatial point keeps them all: its fold adds them pairwise.
+    """
     scales = _lattice(disc, shell)
-    for rows, chunks in _lattice_batches(kernel, disc, scales, *points):
+    rotated = None
+    if isinstance(kernel, GcmParams) and np.broadcast(*points[:2]).size > 1:
+        rotated = _live_rotations(kernel, disc, scales[0], *points[:2])
+    for rows, chunks in _lattice_batches(kernel, disc, scales, *points, rotated):
         yield (_fold_q(chunks, lambda qs, S: S**2, fold),
                _temporal(kernel, scales[1][rows], points[2], squared=True))
 
@@ -294,6 +352,11 @@ def _running_sum(total, terms):
     for term in terms[1:]:  # np.cumsum along a leading axis is slow on wide rows
         terms[0] += term
     return terms[0]
+
+
+def _unit_axes(a):
+    """The axes of a, after the leading pair axis, of length 1."""
+    return tuple(i for i in range(1, a.ndim) if a.shape[i] == 1)
 
 
 def lambda_fn(kx, ky, omega, disc: Discretization, kernel, with_tail: bool = False):
@@ -311,6 +374,13 @@ def lambda_fn(kx, ky, omega, disc: Discretization, kernel, with_tail: bool = Fal
         return core
     tail = []  # the largest term of each shell pair, in pair order
     for folded, t2 in _square_folds(kernel, disc, True, points, np.maximum):
+        if np.isfinite(folded).all() and np.isfinite(t2).all():
+            # Both factors are >= 0 and rounding is monotone, so the largest
+            # product is the product of the largest factors along the axes
+            # that one of them broadcasts.  A product with inf or NaN is formed
+            # in full, to give the NaN of inf * 0.
+            folded = folded.max(axis=_unit_axes(t2), keepdims=True)
+            t2 = t2.max(axis=_unit_axes(folded), keepdims=True)
         tail += np.max((folded * t2).reshape(len(folded), -1), axis=1).tolist()
     return core, max(tail)
 
@@ -359,20 +429,6 @@ def _polish_extremum(disc, kernel, start, spans, maximize: bool):
                 point[axis] = x
                 best = sign * fx
     return best
-
-
-_SLACK = 1e-12  # relative rounding allowance of the gamma prune, 1e4 float64 epsilons
-
-
-def _maybe_in_cone(cone, ux, uy, floor):
-    """False only where (s * ux, s * uy) lies outside the cone at every pair
-    scale s: a dual projection below minus the allowance keeps its sign
-    through the scaling's rounding, and floor keeps it clear of subnormals."""
-    inside = True
-    for ex, ey in (cone.dual_plus, cone.dual_minus):
-        a, b = ux * ex, uy * ey
-        inside = inside & (a + b >= -(_SLACK * (abs(a) + abs(b)) + floor))
-    return inside
 
 
 def _underflows(kernel: GcmParams, s_sp, ux, uy, where):

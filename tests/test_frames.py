@@ -423,6 +423,132 @@ def test_lambda_at_a_point_is_one_cumsum_over_its_pairs(monkeypatch):
     assert _same_bytes(got, _reference_lambda(1.5, 0.25, 2.0, Discretization(), GcmParams()))
 
 
+# ---------------------------------------------------------------------------
+# Grids evaluated at their live rotations only, and the factored shell tail,
+# against the per-pair sums over every rotation and the full shell products.
+
+
+def _reference_tail(kx, ky, omega, disc, kernel):
+    """The largest term on the first dropped shell, each pair's product of
+    its q maximum of S**2 with T**2 formed in full."""
+    edge = disc.scale_range + 1
+    pairs = [(l, n) for l, n in product(range(-edge, edge + 1), repeat=2)
+             if max(abs(l), abs(n)) == edge]
+    return max(np.max(np.max(s**2, axis=0) * t**2).item()
+               for s, t in _reference_factors(kernel, disc, pairs, kx, ky, omega))
+
+
+def _gc_shapes(monkeypatch):
+    """The shapes of the points of every frames.eval_gc_2d call from now on."""
+    shapes = []
+
+    def counted(kx, ky, params):
+        shapes.append(np.shape(kx))
+        return eval_gc_2d(kx, ky, params)
+
+    monkeypatch.setattr(frames, "eval_gc_2d", counted)
+    return shapes
+
+
+def _assert_lambda_and_tail_match(kx, ky, w, disc, kernel):
+    core, tail = lambda_fn(kx, ky, w, disc, kernel, with_tail=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _same_bytes(core, _reference_lambda(kx, ky, w, disc, kernel))
+        assert _same_bytes(tail, _reference_tail(kx, ky, w, disc, kernel))
+    return tail
+
+
+_NARROW = math.pi / 16
+
+
+@pytest.mark.parametrize("q1, cone, rows", [
+    (8, ConeSpec(alpha=_NARROW), 1),
+    (16, ConeSpec(alpha=_NARROW), 2),
+    (32, ConeSpec(alpha=_NARROW), 4),
+    (8, ConeSpec(alpha=math.pi / 4), 4),
+    (8, ConeSpec(alpha=_NARROW, theta_axis=0.3), 1),
+], ids=["q1-8", "q1-16", "q1-32", "wide", "turned-axis"])
+def test_search_grid_at_live_rotations_keeps_the_bytes_of_every_rotation(q1, cone, rows, monkeypatch):
+    # rows: the rotations each batch evaluates a point at, in place of 2 * q1.
+    disc = Discretization(q1=q1, grid_size=24)
+    kernel = GcmParams(cone=cone)
+    box = frames._box_coords(*frames._search_grid(disc))
+    shapes = _gc_shapes(monkeypatch)
+    core, tail = lambda_fn(*box, disc, kernel, with_tail=True)
+    monkeypatch.undo()
+    assert {shape[1] for shape in shapes} == {rows}
+    assert _same_bytes(core, _reference_lambda(*box, disc, kernel))
+    assert _same_bytes(tail, _reference_tail(*box, disc, kernel))
+
+
+def _edge_points(disc, cone):
+    """Points on the edges of every rotated cone and one ulp to either side
+    in angle; at q = 0 also exactly on both edges and one ulp off in ky."""
+    (px, py), (mx, my) = cone.dual_plus, cone.dual_minus
+    kx, ky = [], []
+    for scale in (0.5, 4.0):  # powers of 2 keep k . dual exactly 0
+        for x, y in ((-my * scale, mx * scale), (py * scale, -px * scale)):
+            kx += [x] * 3
+            ky += [np.nextafter(y, -np.inf), y, np.nextafter(y, np.inf)]
+    for q, side in product(range(2 * disc.q1), (1, -1)):
+        phi = q * disc.theta0 + cone.theta_axis + side * cone.alpha
+        for p in (np.nextafter(phi, -np.inf), phi, np.nextafter(phi, np.inf)):
+            kx.append(3.0 * math.cos(p))
+            ky.append(3.0 * math.sin(p))
+    return np.array(kx), np.array(ky)
+
+
+@pytest.mark.parametrize("q1", [8, 16])
+@pytest.mark.parametrize("theta_axis", [0.0, 0.3])
+def test_points_on_rotated_cone_edges_keep_their_bytes(q1, theta_axis):
+    disc = Discretization(q1=q1)
+    kernel = GcmParams(cone=ConeSpec(alpha=_NARROW, theta_axis=theta_axis))
+    kx, ky = _edge_points(disc, kernel.cone)
+    dp, dm, inside = kernel.cone._dual_projections(kx[:12], ky[:12])
+    assert np.all((dp * dm)[1::3] == 0.0) and np.all(inside[1::3])
+    w = np.array([0.5, 2.0, 4.5])
+    _assert_lambda_and_tail_match(kx[:, None], ky[:, None], w, disc, kernel)
+    _assert_lambda_and_tail_match(kx, ky, np.resize(w, kx.shape), disc, kernel)
+
+
+@pytest.mark.parametrize("q1", [2, 8])
+def test_non_finite_and_huge_points_keep_their_bytes(q1):
+    values = [np.inf, -np.inf, np.nan, 1e300, -1e300, 0.0, 1.5, -2.5]
+    kx, ky = (v.ravel() for v in np.meshgrid(values, values))
+    # At q1 = 2 this point lies in no rotated cone, yet the larger pair
+    # scales overflow a coordinate to inf, and there the kernel gives NaN.
+    kx, ky = np.append(kx, 5.109606601580082e306), np.append(ky, -1.9323619512029059e307)
+    w = np.array([np.nan, np.inf, 1e300, 0.0, 2.0])
+    disc = Discretization(q1=q1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for kernel in (GcmParams(), GcmParams(cone=ConeSpec(alpha=_NARROW, theta_axis=0.3))):
+            _assert_lambda_and_tail_match(kx[:, None], ky[:, None], w, disc, kernel)
+            _assert_lambda_and_tail_match(kx, ky, 2.0, disc, kernel)
+        assert math.isnan(lambda_fn(kx[-2:], ky[-2:], 2.0, disc, GcmParams())[-1])
+
+
+def test_a_shell_product_of_inf_and_zero_stays_nan():
+    # At l = m = 100 and alpha = pi/4, S**2 overflows to inf on the axis
+    # near |k| = 14 / s, and T**2 is 0 at omega = 1e6 for every pair.  Those
+    # pairs' products are NaN, which max() passes over, so their largest
+    # finite term is the tail; a product of the largest factors would be inf.
+    kernel = GcmParams(l=100, m=100, cone=ConeSpec(alpha=math.pi / 4))
+    disc = Discretization()
+    r = np.geomspace(0.05, 200.0, 40)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert lambda_fn(r, 0.0 * r, np.array([1.0, 14.0]), disc, kernel, with_tail=True)[1] == math.inf
+        tail = _assert_lambda_and_tail_match(r, 0.0 * r, np.array([1.0, 14.0, 1e6]), disc, kernel)
+    assert 0.0 < tail < math.inf
+
+
+def test_the_default_grid_evaluates_one_rotation_a_point(monkeypatch):
+    disc = Discretization()
+    shapes = _gc_shapes(monkeypatch)
+    lambda_fn(*frames._box_coords(*frames._search_grid(disc)), disc, GcmParams(), with_tail=True)
+    assert sum(math.prod(shape) for shape in shapes) == 121 * 4096
+    assert shapes == [(1, 1, 64, 64, 1)] * 121
+
+
 def _gamma_cases():
     wide = GcmParams(l=3, m=4, sigma=1.5, cone=ConeSpec(alpha=math.pi / 4))
     return {
