@@ -32,15 +32,10 @@ over (l, n), in pair order, of (sum_q S**2) * T**2, added one pair at a
 time, so batching does not change a bit.
 
 The GC profile is exactly 0 outside the cone, and at the default aperture
-each point of the search grid lies in one of the 2*q1 rotated cones.  So on
-more than one spatial point, Lambda and its shell tail evaluate a
-GcmParams kernel only at the rotations of each point that _maybe_in_cone
-keeps (_live_rotations): one per point at the defaults, two at q1 = 16.
-Every rotation left out adds an exact +0.0 to a sum over q that adds one
-rotation after the other, so the bytes are those of all 2*q1 rotations.
-The shell tail takes the largest term of each pair from the largest of
-its two factors along the axes where the other one is broadcast, which
-rounding, monotone on factors >= 0, leaves exact.
+each search-grid point lies in one of the 2*q1 rotated cones.  So on more
+than one spatial point Lambda evaluates a GcmParams kernel only at the
+rotations that may put a point in the cone (_live_rotations), and the
+shell tail multiplies each pair's largest factors, not the factors.
 
 Gamma skips the terms it proves to be +0.0 (_live_pairs): a pair whose
 temporal product T0 * T1 is 0 everywhere, and every pair at once where no
@@ -175,10 +170,9 @@ def tight_frame_stub(disc: Discretization):
         # Cell membership via a tolerance-snapped floor: evaluations of the
         # same point under different lattice shifts round independently, and
         # the snap keeps them from double- or zero-counting cell boundaries.
-        # The spatial and temporal parts are evaluated at their own shapes,
-        # and each full-size value in one buffer.  Where r or omega is not
-        # positive the logs are not finite, and the r > 0 and omega > 0 tests
-        # reject the point.
+        # Spatial and temporal parts keep their own shapes, and the full-size
+        # values share one buffer.  Logs of r or omega <= 0 are not finite,
+        # and the r > 0 and omega > 0 tests reject those points.
         with np.errstate(divide="ignore", invalid="ignore"):
             x, y = np.log(r), np.log(omega)
             ok = (r > 0) & snapped_zero(np.mod(np.arctan2(ky, kx), 2 * math.pi), theta0)
@@ -302,9 +296,8 @@ def _maybe_in_cone(cone, ux, uy, floor):
     """False only where (s * ux, s * uy) lies outside the cone at every pair
     scale s: a dual projection below minus the allowance keeps its sign
     through the scaling's rounding, and floor = 2**-1000 / (least s) keeps it
-    clear of subnormals.  The proof needs s * ux and s * uy finite.  Lambda
-    drops the rotations it proves outside (_live_rotations), gamma the pairs
-    at a shift (_live_pairs)."""
+    clear of subnormals.  It needs s * ux and s * uy finite.  Lambda prunes
+    rotations with it (_live_rotations), gamma pairs (_live_pairs)."""
     inside = True
     for ex, ey in (cone.dual_plus, cone.dual_minus):
         a, b = ux * ex, uy * ey
@@ -313,11 +306,10 @@ def _maybe_in_cone(cone, ux, uy, floor):
 
 
 def _live_rotations(kernel: GcmParams, disc: Discretization, s_sp, kx, ky):
-    """(ux, uy) at the rotations that may put each point in the cone at some
-    pair scale s_sp, in ascending q, packed into as many rows as the point
-    with the most of them needs and padded with NaN, where the GC profile is
-    exactly 0.  A rotation is dropped only where _maybe_in_cone proves it
-    outside and the scaled coordinates cannot overflow, so that proof holds."""
+    """(ux, uy) at the rotations that may put each point in the cone at a
+    pair scale in s_sp, in ascending q, packed into as few rows as the
+    busiest point needs and padded with NaN, where the GC profile is 0.
+    Only rotations whose scaled coordinates stay finite are dropped."""
     ux, uy = _rotated(disc, kx, ky)
     live = (_maybe_in_cone(kernel.cone, ux, uy, 2.0**-1000 / s_sp.min())
             | ~(abs(ux) + abs(uy) < 2.0**1000 / s_sp.max()))
@@ -329,11 +321,9 @@ def _live_rotations(kernel: GcmParams, disc: Discretization, s_sp, kx, ky):
 def _square_folds(kernel, disc: Discretization, shell: bool, points, fold=np.add):
     """Yield per batch of pairs the fold over q of S**2, and T**2.
 
-    A GcmParams kernel on more than one spatial point is evaluated only at
-    the live rotations of each point.  Its fold over q adds one rotation
-    after the other there, and every rotation left out adds an exact +0.0,
-    so the bytes are those of the fold over all 2*q1 rotations.  A lone
-    spatial point keeps them all: its fold adds them pairwise.
+    On more than one spatial point the fold adds one rotation after the
+    other, so a GcmParams kernel skips the rotations that add an exact +0.0
+    and keeps its bytes.  A lone point's fold adds them pairwise.
     """
     scales = _lattice(disc, shell)
     rotated = None
@@ -377,8 +367,7 @@ def lambda_fn(kx, ky, omega, disc: Discretization, kernel, with_tail: bool = Fal
         if np.isfinite(folded).all() and np.isfinite(t2).all():
             # Both factors are >= 0 and rounding is monotone, so the largest
             # product is the product of the largest factors along the axes
-            # that one of them broadcasts.  A product with inf or NaN is formed
-            # in full, to give the NaN of inf * 0.
+            # one of them broadcasts.  inf * 0 needs the full product's NaN.
             folded = folded.max(axis=_unit_axes(t2), keepdims=True)
             t2 = t2.max(axis=_unit_axes(folded), keepdims=True)
         tail += np.max((folded * t2).reshape(len(folded), -1), axis=1).tolist()
