@@ -289,22 +289,6 @@ def _temporal(kernel, s_t, omega, squared: bool = False):
     return power(t, 2) if squared else t
 
 
-_SLACK = 1e-12  # relative rounding allowance of the cone prunes, 1e4 float64 epsilons
-
-
-def _maybe_in_cone(cone, ux, uy, floor):
-    """False only where (s * ux, s * uy) lies outside the cone at every pair
-    scale s: a dual projection below minus the allowance keeps its sign
-    through the scaling's rounding, and floor = 2**-1000 / (least s) keeps it
-    clear of subnormals.  It needs s * ux and s * uy finite.  Lambda prunes
-    rotations with it (_live_rotations), gamma pairs (_live_pairs)."""
-    inside = True
-    for ex, ey in (cone.dual_plus, cone.dual_minus):
-        a, b = ux * ex, uy * ey
-        inside = inside & (a + b >= -(_SLACK * (abs(a) + abs(b)) + floor))
-    return inside
-
-
 def _live_rotations(kernel: GcmParams, disc: Discretization, s_sp, kx, ky):
     """(ux, uy) at the rotations that may put each point in the cone at a
     pair scale in s_sp, in ascending q, packed into as few rows as the
@@ -418,6 +402,22 @@ def _polish_extremum(disc, kernel, start, spans, maximize: bool):
                 point[axis] = x
                 best = sign * fx
     return best
+
+
+_SLACK = 1e-12  # relative rounding allowance of the cone prunes, 1e4 float64 epsilons
+
+
+def _maybe_in_cone(cone, ux, uy, floor):
+    """False only where (s * ux, s * uy) lies outside the cone at every pair
+    scale s: a dual projection below minus the allowance keeps its sign
+    through the scaling's rounding, and floor = 2**-1000 / (least s) keeps it
+    clear of subnormals.  It needs s * ux and s * uy finite.  Lambda prunes
+    rotations with it (_live_rotations), gamma pairs (_live_pairs)."""
+    inside = True
+    for ex, ey in (cone.dual_plus, cone.dual_minus):
+        a, b = ux * ex, uy * ey
+        inside = inside & (a + b >= -(_SLACK * (abs(a) + abs(b)) + floor))
+    return inside
 
 
 def _underflows(kernel: GcmParams, s_sp, ux, uy, where):

@@ -472,13 +472,9 @@ def test_search_grid_at_live_rotations_keeps_the_bytes_of_every_rotation(q1, con
     # rows: the rotations each batch evaluates a point at, in place of 2 * q1.
     disc = Discretization(q1=q1, grid_size=24)
     kernel = GcmParams(cone=cone)
-    box = frames._box_coords(*frames._search_grid(disc))
     shapes = _gc_shapes(monkeypatch)
-    core, tail = lambda_fn(*box, disc, kernel, with_tail=True)
-    monkeypatch.undo()
+    _assert_lambda_and_tail_match(*frames._box_coords(*frames._search_grid(disc)), disc, kernel)
     assert {shape[1] for shape in shapes} == {rows}
-    assert _same_bytes(core, _reference_lambda(*box, disc, kernel))
-    assert _same_bytes(tail, _reference_tail(*box, disc, kernel))
 
 
 def _edge_points(disc, cone):
@@ -527,11 +523,12 @@ def test_non_finite_and_huge_points_keep_their_bytes(q1):
         assert math.isnan(lambda_fn(kx[-2:], ky[-2:], 2.0, disc, GcmParams())[-1])
 
 
-def test_a_shell_product_of_inf_and_zero_stays_nan():
+def test_a_shell_pair_of_inf_times_zero_is_not_read_as_inf():
     # At l = m = 100 and alpha = pi/4, S**2 overflows to inf on the axis
-    # near |k| = 14 / s, and T**2 is 0 at omega = 1e6 for every pair.  Those
-    # pairs' products are NaN, which max() passes over, so their largest
-    # finite term is the tail; a product of the largest factors would be inf.
+    # near |k| = 14 / s, and T**2 is 0 at omega = 1e6 for every pair.  The
+    # largest product of such a pair is NaN, which the max over the pairs
+    # passes over, so the tail is another pair's finite term.  The largest
+    # factors' product, inf * T**2(omega = 14), would read inf.
     kernel = GcmParams(l=100, m=100, cone=ConeSpec(alpha=math.pi / 4))
     disc = Discretization()
     r = np.geomspace(0.05, 200.0, 40)[:, None]
@@ -545,7 +542,7 @@ def test_the_default_grid_evaluates_one_rotation_a_point(monkeypatch):
     disc = Discretization()
     shapes = _gc_shapes(monkeypatch)
     lambda_fn(*frames._box_coords(*frames._search_grid(disc)), disc, GcmParams(), with_tail=True)
-    assert sum(math.prod(shape) for shape in shapes) == 121 * 4096
+    # 81 pairs and 40 shell pairs, each of one rotation of 64 x 64 points.
     assert shapes == [(1, 1, 64, 64, 1)] * 121
 
 
