@@ -9,8 +9,12 @@ the spectrum without any inverse transform; that shortcut is the engine's
 main optimization and is oracle-checked in the tests.
 
 The input is real, so its spectrum is Hermitian, X(k, omega) =
-conj X(-k, -omega), and the forward transform is one rfftn, computed in
-place in one array: the half spectrum of the bins omega = 0 .. nt // 2.
+conj X(-k, -omega), and the forward transform is an rfftn into one array:
+the half spectrum of the bins omega = 0 .. nt // 2.  A volume of at least
+_SPLIT_SAMPLES samples runs that transform, the power pass and the
+inverse transform on two threads, each pass over two halves of one axis;
+every 1-D line goes through the same pocketfft call as in numpy's own
+rfftn and ifftn, so the bytes are those of the single calls.
 The scan works on that half alone.  Its power, and with it the total
 energy, is formed in one pass over the stored bins, and every tuning
 contracts only its rows at the spatial bins where the tuning's S is not
@@ -53,6 +57,7 @@ leakage matters.
 """
 
 import math
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -207,16 +212,30 @@ class SpectrumVolume(_Sampled):
         """The power |X|^2 of the stored bins, C-ordered whatever their
         layout, and the total energy: every stored bin once and the mirrored
         ones again.  One pass forms both, a slab of rows of axis 0 at a
-        time, so no temporary is larger than a slab."""
-        stored = self._stored
+        time, so no temporary is larger than a slab.  A large volume splits
+        the slabs between two threads; each slab's energy is kept and they
+        are added in slab order, so the sum is the serial loop's."""
+        stored, mirrored = self._stored, self._mirrored
         power = np.empty(stored.shape)
         rows = max(1, _SLAB_BINS // (self.ny * stored.shape[2]))
+        starts = range(0, self.nx, rows)
+        parts = [0.0] * len(starts)
+
+        def slabs(which: slice):
+            for n in range(len(starts))[which]:
+                i = starts[n]
+                part, slab = stored[i:i + rows], power[i:i + rows]
+                np.square(part.real, out=slab)
+                slab += np.square(part.imag)
+                parts[n] = float(slab.sum()) + float(slab[:, :, 1:1 + mirrored].sum())
+
+        if _is_large(self.shape):
+            _on_halves(slabs, len(starts))
+        else:
+            slabs(slice(None))
         energy = 0.0
-        for i in range(0, self.nx, rows):
-            part, slab = stored[i:i + rows], power[i:i + rows]
-            np.square(part.real, out=slab)
-            slab += np.square(part.imag)
-            energy += float(slab.sum()) + float(slab[:, :, 1:1 + self._mirrored].sum())
+        for part in parts:
+            energy += part
         return power, energy
 
     @cached_property
@@ -243,6 +262,45 @@ class SpectrumVolume(_Sampled):
 
 # Stored bins per slab of the power: a slab and its temporary stay in cache.
 _SLAB_BINS = 1 << 15
+# Volumes of at least this many samples (nx * ny * nt) run every
+# full-volume pass on two threads.  The split of the forward transform
+# loses at 64x64x16 and pays from somewhere between 0.2 M and 0.5 M
+# samples, by measurements that disagree there; at 2^20 every measurement
+# has it pay (README, Performance notes).
+_SPLIT_SAMPLES = 1 << 20
+
+
+def _is_large(shape) -> bool:
+    """Whether a volume of this shape is split between two threads."""
+    return math.prod(shape) >= _SPLIT_SAMPLES
+
+
+def _on_halves(fn, n: int) -> None:
+    """fn(slice) on the two halves of range(n): the first in the caller,
+    the second on one more thread, joined before this returns; an
+    exception the thread raised is raised here.
+
+    The split is fixed at two because the machine it was measured on has
+    two cores (nproc 2); a split per CPU needs a machine where it can be
+    measured.  fn may call only numpy, whose FFTs and ufuncs release the
+    GIL.  Nothing the benchmark tracer wraps may run on the second thread:
+    its recorder keeps a single span stack."""
+    errors = []
+
+    def second():
+        try:
+            fn(slice(n // 2, n))
+        except BaseException as exc:  # re-raised in the caller below
+            errors.append(exc)
+
+    thread = threading.Thread(target=second)
+    thread.start()
+    try:
+        fn(slice(0, n // 2))
+    finally:
+        thread.join()
+    if errors:
+        raise errors[0]
 
 
 def _angular_frequencies(n: int, pitch: float) -> np.ndarray:
@@ -265,23 +323,59 @@ class WaveletCoefficients:
 def forward_fft3(seq: SequenceVolume) -> SpectrumVolume:
     """Unitary 3D DFT of a sequence (Parseval holds with constant 1).
 
-    The input is real, so one rfftn computes the half spectrum omega = 0 ..
-    nt // 2, in place in one C-ordered array: numpy transforms the time
-    axis into it and then the two spatial axes where they lie, with the
-    same bytes as a plain rfftn.  The spectrum mirrors the rest when it
-    needs it."""
+    The input is real, so an rfftn computes the half spectrum omega = 0 ..
+    nt // 2, in place in one C-ordered array: the time axis is transformed
+    into it and then the two spatial axes where they lie, with the same
+    bytes as a plain rfftn.  A small volume is one rfftn call.  A large one
+    runs the three passes in rfftn's order on two threads: each half of
+    axis 0 checks that its samples are finite, transforms its time axis and
+    then its y axis, and then each half of axis 1 transforms its x axis.
+    The spectrum mirrors the rest when it needs it."""
     global _fft_calls
-    if not np.all(np.isfinite(seq.data)):
-        raise ValueError("sequence contains non-finite samples")
-    _fft_calls += 1
     half = np.empty((seq.nx, seq.ny, seq.nt // 2 + 1), dtype=complex)
-    np.fft.rfftn(seq.data, norm="ortho", out=half)
+    if _is_large(seq.shape):
+        data = seq.data
+
+        def time_and_y(x: slice):
+            if not np.all(np.isfinite(data[x])):
+                raise ValueError("sequence contains non-finite samples")
+            np.fft.rfft(data[x], axis=2, norm="ortho", out=half[x])
+            np.fft.fft(half[x], axis=1, norm="ortho", out=half[x])
+
+        _on_halves(time_and_y, seq.nx)
+        _on_halves(lambda y: np.fft.fft(half[:, y], axis=0, norm="ortho", out=half[:, y]), seq.ny)
+    else:
+        if not np.all(np.isfinite(seq.data)):
+            raise ValueError("sequence contains non-finite samples")
+        np.fft.rfftn(seq.data, norm="ortho", out=half)
+    _fft_calls += 1
     return SpectrumVolume._of_real(half, seq.nt, seq.pixel_pitch, seq.frame_pitch)
 
 
+def _split_ifftn(shape, dtype, fill) -> np.ndarray:
+    """ifftn(v, norm="ortho") of the volume v that fill(x, out) writes, a
+    half x of axis 0 at a time, into out: one array, transformed in place
+    in ifftn's order on two threads, each half of axis 0 along t and then
+    y, then each half of axis 1 along x."""
+    out = np.empty(shape, dtype=np.result_type(dtype, 1j))
+
+    def time_and_y(x: slice):
+        fill(x, out[x])
+        np.fft.ifft(out[x], axis=2, norm="ortho", out=out[x])
+        np.fft.ifft(out[x], axis=1, norm="ortho", out=out[x])
+
+    _on_halves(time_and_y, shape[0])
+    _on_halves(lambda y: np.fft.ifft(out[:, y], axis=0, norm="ortho", out=out[:, y]), shape[1])
+    return out
+
+
 def inverse_fft3(spec: SpectrumVolume) -> np.ndarray:
-    """Unitary inverse of forward_fft3; returns the complex volume."""
-    return np.fft.ifftn(spec.data, norm="ortho")
+    """Unitary inverse of forward_fft3; returns the complex volume, with
+    the bytes of ifftn, on two threads for a large volume."""
+    data = spec.data
+    if not _is_large(spec.shape):
+        return np.fft.ifftn(data, norm="ortho")
+    return _split_ifftn(spec.shape, data.dtype, lambda x, out: np.copyto(out, data[x]))
 
 
 def _radial_cutoff(params: GcmParams) -> float:
@@ -452,8 +546,15 @@ def tuned_filter_factors(
 
 def apply_spectral_filter(spec: SpectrumVolume, response: np.ndarray) -> np.ndarray:
     """Pointwise-multiply the spectrum by a conjugated frequency response
-    and inverse transform over all translations."""
-    return np.fft.ifftn(np.conj(response) * spec.data, norm="ortho")
+    and inverse transform over all translations.  A large volume forms the
+    product a half of axis 0 at a time straight into the one array that the
+    inverse transforms in place on two threads, with the bytes of ifftn."""
+    data = spec.data
+    if not _is_large(spec.shape):
+        return np.fft.ifftn(np.conj(response) * data, norm="ortho")
+    response = np.broadcast_to(response, spec.shape)
+    return _split_ifftn(spec.shape, np.result_type(response, data),
+                        lambda x, out: np.multiply(np.conj(response[x]), data[x], out=out))
 
 
 def apply_tuned_filter(

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import threading
 import tracemalloc
 from dataclasses import FrozenInstanceError
 
@@ -556,3 +557,83 @@ def test_forward_fft3_keeps_only_the_rfftn_half(nt):
     assert (spec.nx, spec.ny, spec.nt) == (6, 5, nt)
     # The kept bins are the half's own values, not mirrored ones.
     assert spec.data[:, :, :nt // 2 + 1].tobytes() == spec._stored.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# large volumes: every full-volume pass on two threads, with the same bytes
+
+
+def serial_power_and_energy(half, nt):
+    """The power of an rfftn half and its energy, summed slab after slab
+    in one loop as a single thread forms them."""
+    nx, ny, nh = half.shape
+    power = np.square(half.real) + np.square(half.imag)
+    rows = max(1, stcwt._SLAB_BINS // (ny * nh))
+    energy = 0.0
+    for i in range(0, nx, rows):
+        slab = power[i:i + rows]
+        energy += float(slab.sum()) + float(slab[:, :, 1:1 + nt - nh].sum())
+    return power, energy
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("shape, pitches", [
+    ((128, 128, 64), (1.0, 1.0)),
+    ((131, 127, 65), (0.5, 2.0)),
+    ((2, 1024, 512), (1.0, 1.0)),
+])
+def test_large_volumes_keep_the_bytes_of_numpy_and_the_serial_power(shape, pitches, order):
+    assert stcwt._is_large(shape)
+    rng = np.random.default_rng(31)
+    data = np.asarray(rng.standard_normal(shape), order=order)
+    spec = forward_fft3(SequenceVolume(data, *pitches))
+    assert (spec.pixel_pitch, spec.frame_pitch) == pitches
+    half = np.fft.rfftn(data, norm="ortho")
+    assert spec._stored.tobytes() == half.tobytes()
+    power, energy = serial_power_and_energy(half, shape[2])
+    assert spec.power.tobytes() == power.tobytes()
+    assert spec.energy() == energy
+    full = spec.data
+    assert inverse_fft3(spec).tobytes() == np.fft.ifftn(full, norm="ortho").tobytes()
+    response = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    want = np.fft.ifftn(np.conj(response) * full, norm="ortho")
+    assert apply_spectral_filter(spec, response).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("frame_range", [None, range(8, 24)])
+def test_large_scans_read_the_energies_of_the_serial_path(monkeypatch, frame_range):
+    seq = generate(GaussianSceneSpec(nx=128, ny=128, nt=64, sigma_x=1.0, sigma_y=6.0,
+                                     v_r=2.5, motion_angle=0.0, pattern_angle=0.0))
+    config = ScanConfig(c_step=1.0, frame_range=frame_range)
+    split = scan_speeds(seq, config)
+    monkeypatch.setattr(stcwt, "_SPLIT_SAMPLES", math.inf)
+    serial = scan_speeds(seq, config)
+    assert split.energies.tobytes() == serial.energies.tobytes()
+    assert split.v_m == serial.v_m
+
+
+def test_a_small_volume_starts_no_thread(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(stcwt.threading, "Thread", refuse)
+    before = threading.active_count()
+    seq = random_sequence((64, 64, 16), seed=32)
+    spec = forward_fft3(seq)
+    spec.energy()
+    inverse_fft3(spec)
+    apply_spectral_filter(spec, np.ones(seq.shape))
+    scan_speeds(seq, ScanConfig(frame_range=range(4)))
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("x", [0, -1])  # in the caller's half and in the thread's
+def test_a_non_finite_sample_in_either_half_is_refused_and_not_counted(x):
+    seq = random_sequence((128, 128, 64), seed=33)
+    seq.data[x, 70, 9] = np.nan
+    before = threading.active_count()
+    reset_fft_count()
+    with pytest.raises(ValueError, match="non-finite"):
+        forward_fft3(seq)
+    assert fft_call_count() == 0
+    assert threading.active_count() == before
