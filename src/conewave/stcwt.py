@@ -10,11 +10,12 @@ main optimization and is oracle-checked in the tests.
 
 The input is real, so its spectrum is Hermitian, X(k, omega) =
 conj X(-k, -omega), and the forward transform is an rfftn into one array:
-the half spectrum of the bins omega = 0 .. nt // 2.  A volume of at least
-_SPLIT_SAMPLES samples runs that transform, the power pass and the
-inverse transform on two threads, each pass over two halves of one axis;
-every 1-D line goes through the same pocketfft call as in numpy's own
-rfftn and ifftn, so the bytes are those of the single calls.
+the half spectrum of the bins omega = 0 .. nt // 2, formed by rfftn's own
+three passes in place.  Each pass, and the power pass, runs over two
+halves of one axis, and a volume of at least _SPLIT_SAMPLES samples runs
+the second half on one more thread; every 1-D line goes through the same
+pocketfft call as in numpy's own rfftn, so the bytes are those of the
+single call.
 The scan works on that half alone.  Its power, and with it the total
 energy, is formed in one pass over the stored bins, and every tuning
 contracts only its rows at the spatial bins where the tuning's S is not
@@ -229,10 +230,7 @@ class SpectrumVolume(_Sampled):
                 slab += np.square(part.imag)
                 parts[n] = float(slab.sum()) + float(slab[:, :, 1:1 + mirrored].sum())
 
-        if _is_large(self.shape):
-            _on_halves(slabs, len(starts))
-        else:
-            slabs(slice(None))
+        _on_halves(slabs, len(starts), self.shape)
         energy = 0.0
         for part in parts:
             energy += part
@@ -262,29 +260,29 @@ class SpectrumVolume(_Sampled):
 
 # Stored bins per slab of the power: a slab and its temporary stay in cache.
 _SLAB_BINS = 1 << 15
-# Volumes of at least this many samples (nx * ny * nt) run every
-# full-volume pass on two threads.  The split of the forward transform
+# Volumes of at least this many samples (nx * ny * nt) run the passes of
+# the forward transform and of the power on two threads.  The split of the forward transform
 # loses at 64x64x16 and pays from somewhere between 0.2 M and 0.5 M
 # samples, by measurements that disagree there; at 2^20 every measurement
 # has it pay (README, Performance notes).
 _SPLIT_SAMPLES = 1 << 20
 
 
-def _is_large(shape) -> bool:
-    """Whether a volume of this shape is split between two threads."""
-    return math.prod(shape) >= _SPLIT_SAMPLES
-
-
-def _on_halves(fn, n: int) -> None:
-    """fn(slice) on the two halves of range(n): the first in the caller,
-    the second on one more thread, joined before this returns; an
-    exception the thread raised is raised here.
+def _on_halves(fn, n: int, shape) -> None:
+    """fn(slice) on the two halves of range(n), for a pass over a volume of
+    this shape.  Below _SPLIT_SAMPLES samples it is one call fn(slice(None))
+    in the caller.  Otherwise the first half runs in the caller and the
+    second on one more thread, joined before this returns; an exception the
+    thread raised is raised here.
 
     The split is fixed at two because the machine it was measured on has
     two cores (nproc 2); a split per CPU needs a machine where it can be
     measured.  fn may call only numpy, whose FFTs and ufuncs release the
     GIL.  Nothing the benchmark tracer wraps may run on the second thread:
     its recorder keeps a single span stack."""
+    if math.prod(shape) < _SPLIT_SAMPLES:
+        fn(slice(None))
+        return
     errors = []
 
     def second():
@@ -323,59 +321,33 @@ class WaveletCoefficients:
 def forward_fft3(seq: SequenceVolume) -> SpectrumVolume:
     """Unitary 3D DFT of a sequence (Parseval holds with constant 1).
 
-    The input is real, so an rfftn computes the half spectrum omega = 0 ..
-    nt // 2, in place in one C-ordered array: the time axis is transformed
-    into it and then the two spatial axes where they lie, with the same
-    bytes as a plain rfftn.  A small volume is one rfftn call.  A large one
-    runs the three passes in rfftn's order on two threads: each half of
-    axis 0 checks that its samples are finite, transforms its time axis and
+    The input is real, so rfftn's three passes compute the half spectrum
+    omega = 0 .. nt // 2 in place in one C-ordered array, in rfftn's order
+    and with the bytes of a plain rfftn: each half of axis 0 checks that
+    its samples are finite, transforms its time axis into the array and
     then its y axis, and then each half of axis 1 transforms its x axis.
-    The spectrum mirrors the rest when it needs it."""
+    A large volume runs the two halves of each pass on two threads
+    (_on_halves).  The spectrum mirrors the rest when it needs it."""
     global _fft_calls
+    data = seq.data
     half = np.empty((seq.nx, seq.ny, seq.nt // 2 + 1), dtype=complex)
-    if _is_large(seq.shape):
-        data = seq.data
 
-        def time_and_y(x: slice):
-            if not np.all(np.isfinite(data[x])):
-                raise ValueError("sequence contains non-finite samples")
-            np.fft.rfft(data[x], axis=2, norm="ortho", out=half[x])
-            np.fft.fft(half[x], axis=1, norm="ortho", out=half[x])
-
-        _on_halves(time_and_y, seq.nx)
-        _on_halves(lambda y: np.fft.fft(half[:, y], axis=0, norm="ortho", out=half[:, y]), seq.ny)
-    else:
-        if not np.all(np.isfinite(seq.data)):
+    def time_and_y(x: slice):
+        if not np.all(np.isfinite(data[x])):
             raise ValueError("sequence contains non-finite samples")
-        np.fft.rfftn(seq.data, norm="ortho", out=half)
+        np.fft.rfft(data[x], axis=2, norm="ortho", out=half[x])
+        np.fft.fft(half[x], axis=1, norm="ortho", out=half[x])
+
+    _on_halves(time_and_y, seq.nx, seq.shape)
+    _on_halves(lambda y: np.fft.fft(half[:, y], axis=0, norm="ortho", out=half[:, y]),
+               seq.ny, seq.shape)
     _fft_calls += 1
     return SpectrumVolume._of_real(half, seq.nt, seq.pixel_pitch, seq.frame_pitch)
 
 
-def _split_ifftn(shape, dtype, fill) -> np.ndarray:
-    """ifftn(v, norm="ortho") of the volume v that fill(x, out) writes, a
-    half x of axis 0 at a time, into out: one array, transformed in place
-    in ifftn's order on two threads, each half of axis 0 along t and then
-    y, then each half of axis 1 along x."""
-    out = np.empty(shape, dtype=np.result_type(dtype, 1j))
-
-    def time_and_y(x: slice):
-        fill(x, out[x])
-        np.fft.ifft(out[x], axis=2, norm="ortho", out=out[x])
-        np.fft.ifft(out[x], axis=1, norm="ortho", out=out[x])
-
-    _on_halves(time_and_y, shape[0])
-    _on_halves(lambda y: np.fft.ifft(out[:, y], axis=0, norm="ortho", out=out[:, y]), shape[1])
-    return out
-
-
 def inverse_fft3(spec: SpectrumVolume) -> np.ndarray:
-    """Unitary inverse of forward_fft3; returns the complex volume, with
-    the bytes of ifftn, on two threads for a large volume."""
-    data = spec.data
-    if not _is_large(spec.shape):
-        return np.fft.ifftn(data, norm="ortho")
-    return _split_ifftn(spec.shape, data.dtype, lambda x, out: np.copyto(out, data[x]))
+    """Unitary inverse of forward_fft3; returns the complex volume."""
+    return np.fft.ifftn(spec.data, norm="ortho")
 
 
 def _radial_cutoff(params: GcmParams) -> float:
@@ -546,15 +518,8 @@ def tuned_filter_factors(
 
 def apply_spectral_filter(spec: SpectrumVolume, response: np.ndarray) -> np.ndarray:
     """Pointwise-multiply the spectrum by a conjugated frequency response
-    and inverse transform over all translations.  A large volume forms the
-    product a half of axis 0 at a time straight into the one array that the
-    inverse transforms in place on two threads, with the bytes of ifftn."""
-    data = spec.data
-    if not _is_large(spec.shape):
-        return np.fft.ifftn(np.conj(response) * data, norm="ortho")
-    response = np.broadcast_to(response, spec.shape)
-    return _split_ifftn(spec.shape, np.result_type(response, data),
-                        lambda x, out: np.multiply(np.conj(response[x]), data[x], out=out))
+    and inverse transform over all translations."""
+    return np.fft.ifftn(np.conj(response) * spec.data, norm="ortho")
 
 
 def apply_tuned_filter(

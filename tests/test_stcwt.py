@@ -560,7 +560,8 @@ def test_forward_fft3_keeps_only_the_rfftn_half(nt):
 
 
 # ---------------------------------------------------------------------------
-# large volumes: every full-volume pass on two threads, with the same bytes
+# the forward passes and the power pass, on two threads for large volumes,
+# with the same bytes
 
 
 def serial_power_and_energy(half, nt):
@@ -578,12 +579,12 @@ def serial_power_and_energy(half, nt):
 
 @pytest.mark.parametrize("order", ["C", "F"])
 @pytest.mark.parametrize("shape, pitches", [
+    ((71, 53, 13), (1.0, 1.0)),  # below the gate: one thread
     ((128, 128, 64), (1.0, 1.0)),
     ((131, 127, 65), (0.5, 2.0)),
     ((2, 1024, 512), (1.0, 1.0)),
 ])
-def test_large_volumes_keep_the_bytes_of_numpy_and_the_serial_power(shape, pitches, order):
-    assert stcwt._is_large(shape)
+def test_forward_passes_keep_the_bytes_of_numpy_and_the_serial_power(shape, pitches, order):
     rng = np.random.default_rng(31)
     data = np.asarray(rng.standard_normal(shape), order=order)
     spec = forward_fft3(SequenceVolume(data, *pitches))
@@ -593,11 +594,6 @@ def test_large_volumes_keep_the_bytes_of_numpy_and_the_serial_power(shape, pitch
     power, energy = serial_power_and_energy(half, shape[2])
     assert spec.power.tobytes() == power.tobytes()
     assert spec.energy() == energy
-    full = spec.data
-    assert inverse_fft3(spec).tobytes() == np.fft.ifftn(full, norm="ortho").tobytes()
-    response = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    want = np.fft.ifftn(np.conj(response) * full, norm="ortho")
-    assert apply_spectral_filter(spec, response).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("frame_range", [None, range(8, 24)])
@@ -619,10 +615,7 @@ def test_a_small_volume_starts_no_thread(monkeypatch):
     monkeypatch.setattr(stcwt.threading, "Thread", refuse)
     before = threading.active_count()
     seq = random_sequence((64, 64, 16), seed=32)
-    spec = forward_fft3(seq)
-    spec.energy()
-    inverse_fft3(spec)
-    apply_spectral_filter(spec, np.ones(seq.shape))
+    forward_fft3(seq).energy()
     scan_speeds(seq, ScanConfig(frame_range=range(4)))
     assert threading.active_count() == before
 
